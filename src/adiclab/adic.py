@@ -29,8 +29,8 @@ from .errors import BudgetExceeded, ParentMismatch, PrecisionExceeded
 from .modules import (FPModule, ModuleHom, euclidean_capable, free_module,
                       hom_is_iso, ideal_power_gens, identity_hom,
                       kernel_hom, lift_elem, lower_elem, quotient_module,
-                      std_basis, structural_rows, submodule_presentation,
-                      unit_vector, work_ring, zero_module)
+                      std_basis, submodule_presentation, unit_vector,
+                      work_ring, work_rows, zero_module)
 from .rings import (POLYNOMIAL, POWER_SERIES, RingElem, RingSpec,
                     elem_divstep, element_to_str, scalar_domain)
 from .smith import smith_normal_form
@@ -67,7 +67,9 @@ class ChainProfile:
     """Certified shape of the descending chain a^k M."""
     status: str                    # stabilized | strict_forever | unknown
     stabilized_at: int | None      # least k with a^k M = a^(k+1) M
-    tail_gens: tuple               # generators of the stabilized submodule
+    # generators of the stabilized submodule; under strict_forever, nonzero
+    # elements of the intersection of the chain (Euclidean analysis only)
+    tail_gens: tuple
     certificate: dict
     separated_tail_nonzero: bool | None  # intersection of the chain nonzero?
     budget: dict
@@ -102,7 +104,7 @@ def _elem_gcd(ring: RingSpec, elems):
     return g
 
 
-def _is_unit_in(ring: RingSpec, public: RingSpec, g: RingElem) -> bool:
+def _is_unit_in(public: RingSpec, g: RingElem) -> bool:
     """Is the work-ring element g a unit of the public ring?"""
     if public.kind == POWER_SERIES:
         return (0,) in g.terms
@@ -110,14 +112,15 @@ def _is_unit_in(ring: RingSpec, public: RingSpec, g: RingElem) -> bool:
 
 
 def _euclid_chain(M: FPModule, gens, budgets: Budgets):
-    """Closed-form chain analysis over Euclidean-capable rings."""
+    """Closed-form chain analysis over Euclidean-capable rings.
+
+    The tail generators are the saturated pieces of the torsion summands:
+    the stabilized submodule when the chain stabilizes, and nonzero
+    elements of the intersection of the chain when a free summand makes it
+    descend forever."""
     ring = M.ring
     w = work_ring(ring)
-    rows = [[lift_elem(ring, e) for e in r] for r in M.relations]
-    rows += [[lift_elem(ring, e) for e in r]
-             for r in structural_rows(ring, M.ambient_rank)]
-    if not rows:
-        rows = []
+    rows = work_rows(ring, M.ambient_rank, M.relations)
     U, V, Vinv, D, rank = smith_normal_form(rows, w) if rows else (
         None, None, None, [], 0)
     free_rank = M.ambient_rank - rank
@@ -128,15 +131,14 @@ def _euclid_chain(M: FPModule, gens, budgets: Budgets):
     factors = [D[i][i] for i in range(rank)]
     # saturation of each invariant factor by powers of g
     sat_data = []
+    tail_vecs = []
     k0 = 0
-    sat_nonzero = False
     if g.is_zero():
         # zero ideal: a^k M = 0 for k >= 1
         return ChainProfile("stabilized", 0 if M.is_zero() else 1, (),
                             {**info, "note": "zero ideal"}, False,
                             budgets.as_dict())
-    g_unit = _is_unit_in(w, ring, g)
-    if g_unit:
+    if _is_unit_in(ring, g):
         tail = [unit_vector(ring, M.ambient_rank, i)
                 for i in range(M.ambient_rank)]
         tail = _filter_mod_relations(M, tail)
@@ -146,50 +148,33 @@ def _euclid_chain(M: FPModule, gens, budgets: Budgets):
     for i, d in enumerate(factors):
         if d.is_unit():
             continue
-        c_prev = w.one()
+        c = w.one()
         k = 0
         while True:
-            c_next = _elem_gcd(w, [d, c_prev * g])
-            if c_next == c_prev:
+            c_next = _elem_gcd(w, [d, c * g])
+            if c_next == c:
                 break
-            c_prev = c_next
+            c = c_next
             k += 1
-        _, rem = elem_divstep(c_prev, d) if not d.is_zero() else (None, w.one())
-        # c | d always; residue R/(d) has nonzero saturated part iff c != d
-        is_full = not d.is_zero() and elem_divstep(d, c_prev)[1].is_zero() \
-            and elem_divstep(c_prev, d)[1].is_zero()
-        if not is_full:
-            sat_nonzero = True
         sat_data.append({"factor": element_to_str(d),
-                         "saturated": element_to_str(c_prev),
+                         "saturated": element_to_str(c),
                          "steps": k, "index": i})
         k0 = max(k0, k)
+        # the saturated generator c * (row i of Vinv) spans the summand's
+        # part of the tail; c | d always, and it is zero in M iff d | c
+        if not elem_divstep(c, d)[1].is_zero():
+            tail_vecs.append(tuple(lower_elem(ring, c * Vinv[i][j])
+                                   for j in range(M.ambient_rank)))
     info["saturation"] = sat_data
+    tail = tuple(_filter_mod_relations(M, tail_vecs))
     if free_rank == 0:
-        # chain provably stabilizes at k0; materialize the tail generators
-        tail_vecs = []
-        for entry in sat_data:
-            i = entry["index"]
-            c = [w.zero()] * M.ambient_rank
-            y = entry["saturated"]
-            # ambient coordinates of the saturated generator: y * row i of Vinv
-            yel = _parse_work(w, y)
-            for j in range(M.ambient_rank):
-                c[j] = yel * Vinv[i][j]
-            vec = tuple(lower_elem(M.ring, e) for e in c)
-            tail_vecs.append(vec)
-        tail = _filter_mod_relations(M, tail_vecs)
-        return ChainProfile("stabilized", k0, tuple(tail), info,
+        # chain provably stabilizes at k0
+        return ChainProfile("stabilized", k0, tail, info,
                             bool(tail), budgets.as_dict())
     # free part with a proper nonzero ideal: strictly descending forever
     info["note"] = "free summand forces strict descent"
-    return ChainProfile("strict_forever", None, (), info, sat_nonzero,
+    return ChainProfile("strict_forever", None, tail, info, bool(tail),
                         budgets.as_dict())
-
-
-def _parse_work(w: RingSpec, text: str) -> RingElem:
-    from .rings import parse_element
-    return parse_element(w, text)
 
 
 def _graded_positive(M: FPModule, gens) -> bool:
@@ -226,15 +211,13 @@ def nilpotent_on_module(a: RingElem, M: FPModule) -> bool | None:
     ext = _localization_ring(w)
 
     def extend(e: RingElem) -> RingElem:
-        return RingElem(ext, {exps + (0,): c
-                              for exps, c in lift_elem(ring, e).terms.items()})
+        return RingElem(ext, {exps + (0,): c for exps, c in e.terms.items()})
 
     n = M.ambient_rank
-    rows = [tuple(extend(e) for e in r) for r in M.relations]
-    rows += [tuple(extend(e) for e in r)
-             for r in structural_rows(ring, n)]
+    rows = [tuple(extend(e) for e in r)
+            for r in work_rows(ring, n, M.relations)]
     z = ext.variable(ext.vars[-1])
-    az = extend(a) * z
+    az = extend(lift_elem(ring, a)) * z
     one = ext.one()
     for s in range(n):
         rows.append(tuple((one - az) if j == s else ext.zero()
@@ -277,14 +260,13 @@ def chain_profile(M: FPModule, gens, budgets: Budgets = DEFAULT_BUDGETS) -> Chai
             return ChainProfile("unknown", None, (), {
                 "kind": "nilpotent_beyond_budget"}, None, budget)
         if any(x is False for x in nil):
-            sep = True  # graded positive ideals are separated on graded modules
             return ChainProfile(
                 "strict_forever", None, (),
                 {"kind": "graded_nakayama",
                  "non_nilpotent_generator": element_to_str(
                      gens[nil.index(False)]),
                  "note": "graded chain stabilizes only at zero"},
-                not sep and None or False, budget)
+                False, budget)
     return ChainProfile("unknown", None, (), {"kind": "budget_exhausted"},
                         None, budget)
 
@@ -516,48 +498,11 @@ def is_separated(M, gens, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
                 "kind": "euclidean_valuation",
                 "decomposition": prof.certificate}, budget)
         if prof.separated_tail_nonzero is True:
-            wit = _euclid_saturated_witness(M, gens, budgets)
-            if wit is not None:
-                return verdicts.fails({
-                    "kind": "saturated_torsion_element",
-                    "element": vec_strs(wit),
-                    "note": "element lies in a^k M for every k"}, budget)
+            return verdicts.fails({
+                "kind": "saturated_torsion_element",
+                "element": vec_strs(prof.tail_gens[0]),
+                "note": "element lies in a^k M for every k"}, budget)
     return verdicts.unknown(budget)
-
-
-def _euclid_saturated_witness(M: FPModule, gens, budgets: Budgets):
-    """A nonzero element of the intersection over a Euclidean ring with free
-    part: the saturated piece of the torsion summands."""
-    if not euclidean_capable(M.ring):
-        return None
-    ring = M.ring
-    w = work_ring(ring)
-    rows = [[lift_elem(ring, e) for e in r] for r in M.relations]
-    rows += [[lift_elem(ring, e) for e in r]
-             for r in structural_rows(ring, M.ambient_rank)]
-    if not rows:
-        return None
-    U, V, Vinv, D, rank = smith_normal_form(rows, w)
-    g = _elem_gcd(w, [lift_elem(ring, a) for a in gens])
-    if g.is_zero() or _is_unit_in(w, ring, g):
-        return None
-    for i in range(rank):
-        d = D[i][i]
-        if d.is_unit():
-            continue
-        c = w.one()
-        while True:
-            c2 = _elem_gcd(w, [d, c * g])
-            if c2 == c:
-                break
-            c = c2
-        if elem_divstep(c, d)[1].is_zero() and elem_divstep(d, c)[1].is_zero():
-            continue  # summand is annihilated in the limit
-        vec = tuple(lower_elem(ring, c * Vinv[i][j])
-                    for j in range(M.ambient_rank))
-        if not M.relations_basis().contains(vec)[0]:
-            return M.normal_form(vec)
-    return None
 
 
 def ext1_vanishing_tower(M: FPModule, a: RingElem,

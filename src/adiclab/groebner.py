@@ -9,6 +9,12 @@ tagged with unit vectors in a trailing block of positions, rows whose
 leading block vanishes are syzygies of the inputs, and reductions accumulate
 membership witnesses.
 
+One reduction loop serves completion, normal forms and witnesses.
+Completion and inter-reduction reduce every position; normal forms and
+witnesses stop at the leading block.  Both give the same leading-block
+result, because a row whose leading term lies in the tag block has all of
+its terms there.
+
 The engine works on raw term dicts {(position, exponents): scalar} so that
 it stays independent of the ring layer.
 """
@@ -111,7 +117,13 @@ class ModuleBasis:
             index.setdefault(gpos, []).append((ge, gc, g))
         return index
 
-    def _normal_form_rows(self, v: dict, rows) -> dict:
+    def _reduce(self, v: dict, rows, bound=None) -> dict:
+        """Reduce v by rows, term by term from the top of the order.
+
+        Only terms at positions below bound are reduced (every position when
+        bound is None); the rest are carried along, so with bound npos the
+        tag block of the result accumulates the membership witness.
+        """
         dom = self.domain
         v = {k: c for k, c in v.items() if c != dom.zero}
         index = self._row_index(rows)
@@ -119,7 +131,7 @@ class ModuleBasis:
         while True:
             best = None
             for key in v:
-                if key in done:
+                if key in done or (bound is not None and key[0] >= bound):
                     continue
                 if best is None or self._term_key(key) > self._term_key(best):
                     best = key
@@ -138,7 +150,7 @@ class ModuleBasis:
         dom = self.domain
         basis = []
         for r in rows:
-            nf = self._normal_form_rows(r, basis)
+            nf = self._reduce(r, basis)
             if nf:
                 basis.append(nf)
         heap: list = []
@@ -183,7 +195,7 @@ class ModuleBasis:
                     _add_into(t, _scale_shift(g, tc, mg, dom), dom)
                     candidates.append(t)
             for cand in candidates:
-                nf = self._normal_form_rows(cand, basis)
+                nf = self._reduce(cand, basis)
                 if not nf:
                     continue
                 basis.append(nf)
@@ -224,7 +236,7 @@ class ModuleBasis:
             (key, c) = self._lt(r)
             tail = dict(r)
             tail.pop(key)
-            nf_tail = self._normal_form_rows(tail, others)
+            nf_tail = self._reduce(tail, others)
             row = dict(nf_tail)
             row[key] = dom.add(row.get(key, dom.zero), c)
             u = dom.normalizer(row[key])
@@ -251,7 +263,7 @@ class ModuleBasis:
 
     def normal_form(self, v: dict) -> dict:
         """Canonical normal form of a leading-block vector."""
-        nf = self._normal_form_rows(dict(v), self.rows)
+        nf = self._reduce(v, self.rows, self.npos)
         return {k: c for k, c in nf.items() if k[0] < self.npos}
 
     def reduce_with_witness(self, v: dict):
@@ -261,28 +273,8 @@ class ModuleBasis:
         when the basis was built with tags.
         """
         dom = self.domain
-        work = {k: c for k, c in v.items() if c != dom.zero}
-        witness: dict = {}
-        index = self._row_index(self.rows)
-        done = set()
-        while True:
-            best = None
-            for key in work:
-                if key in done or key[0] >= self.npos:
-                    continue
-                if best is None or self._term_key(key) > self._term_key(best):
-                    best = key
-            if best is None:
-                break
-            hit = self._reducer_step(index, best, work[best])
-            if hit is None:
-                done.add(best)
-                continue
-            g, mono, q = hit
-            _add_into(work, _scale_shift(g, dom.neg(q), mono, dom), dom)
-        # work now holds nf over the leading block plus accumulated tag terms
-        nf = {}
-        for (pos, e), c in work.items():
+        nf, witness = {}, {}
+        for (pos, e), c in self._reduce(v, self.rows, self.npos).items():
             if pos < self.npos:
                 nf[(pos, e)] = c
             else:

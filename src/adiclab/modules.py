@@ -16,7 +16,7 @@ from .groebner import ModuleBasis
 from .rings import (INTEGERS, LEX, POLYNOMIAL, POWER_SERIES, QUOTIENT,
                     RingElem, RingSpec, element_to_str, ring_polynomial,
                     scalar_domain)
-from .smith import invariant_factors, smith_normal_form
+from .smith import invariant_factors
 
 DEFAULT_POWER_BUDGET = 64
 
@@ -48,10 +48,11 @@ def lower_elem(ring: RingSpec, e: RingElem) -> RingElem:
     return RingElem(ring, dict(e.terms))
 
 
-def structural_rows(ring: RingSpec, ambient: int):
-    """Relation rows every ambient coordinate carries by ring structure."""
+def work_rows(ring: RingSpec, ambient: int, vectors):
+    """The vectors lifted to the work ring, followed by the relation rows
+    every ambient coordinate carries by ring structure."""
     w = work_ring(ring)
-    rows = []
+    rows = [tuple(lift_elem(ring, e) for e in v) for v in vectors]
     if ring.kind == POWER_SERIES:
         tN = w.variable(ring.vars[0]) ** ring.precision
         for i in range(ambient):
@@ -127,10 +128,7 @@ class StdBasis:
                     raise ParentMismatch("generator entry outside the ring")
         self._ngens = len(gens)
         w = work_ring(ring)
-        self._work = w
-        lifted = [tuple(lift_elem(ring, e) for e in g) for g in gens]
-        extras = structural_rows(ring, ambient_rank)
-        rows = [_vec_to_dict(v) for v in lifted + extras]
+        rows = [_vec_to_dict(v) for v in work_rows(ring, ambient_rank, gens)]
         self._mb = ModuleBasis(rows, npos=ambient_rank, nvars=w.nvars,
                                domain=scalar_domain(w), mono_key=w.mono_key)
         self.generators = tuple(
@@ -161,22 +159,6 @@ class StdBasis:
         lifted = tuple(lift_elem(self.ring, e) for e in vec)
         nf = self._mb.normal_form(_vec_to_dict(lifted))
         return _dict_to_vec(nf, self.ambient_rank, self.ring)
-
-    def smith(self):
-        """(U, V, Vinv, D, rank) of the stacked generator matrix over the
-        work ring; Euclidean rings only."""
-        if not euclidean_capable(self.ring):
-            raise UnsupportedRing(f"no Smith form over {self.ring!r}")
-        rows = [[lift_elem(self.ring, e) for e in g] for g in self._all_rows()]
-        if not rows:
-            rows = []
-        return smith_normal_form(rows, self._work)
-
-    def _all_rows(self):
-        extras = structural_rows(self.ring, self.ambient_rank)
-        gens = [tuple(lift_elem(self.ring, e) for e in g)
-                for g in self.generators]
-        return gens + extras
 
 
 def std_basis(gens, ring: RingSpec, ambient_rank: int | None = None) -> StdBasis:
@@ -586,11 +568,8 @@ def module_invariants(M: FPModule):
     isomorphism class of M over Euclidean-capable rings."""
     if not euclidean_capable(M.ring):
         raise UnsupportedRing(f"no invariant factors over {M.ring!r}")
-    w = work_ring(M.ring)
-    rows = [[lift_elem(M.ring, e) for e in r] for r in M.relations]
-    rows += [[lift_elem(M.ring, e) for e in r]
-             for r in structural_rows(M.ring, M.ambient_rank)]
-    factors, free = invariant_factors(rows, w, M.ambient_rank)
+    rows = work_rows(M.ring, M.ambient_rank, M.relations)
+    factors, free = invariant_factors(rows, work_ring(M.ring), M.ambient_rank)
     return tuple(sorted(element_to_str(d) for d in factors)), free
 
 

@@ -838,6 +838,9 @@ def parse_element(ring: RingSpec, text: str) -> RingElem:
         return node
 
     def parse_power():
+        if tok.peek() == "-":  # unary minus binds looser than ^
+            tok.pos += 1
+            return -parse_power()
         node = parse_atom()
         if tok.peek() == "^":
             tok.pos += 1
@@ -863,9 +866,6 @@ def parse_element(ring: RingSpec, text: str) -> RingElem:
                 tok.error("expected )")
             tok.pos += 1
             return node
-        if c == "-":
-            tok.pos += 1
-            return -parse_atom()
         if c.isdigit():
             num = parse_int()
             if tok.peek() == "/":

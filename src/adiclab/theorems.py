@@ -284,7 +284,7 @@ def check_theorem4(M: FPModule, gens, budgets: Budgets = DEFAULT_BUDGETS,
         if not eligible:
             raise NonSurjectiveReduction(
                 "automatic transport needs an integer or prime-field target")
-        sub["transport"] = _theorem4_transport(M, gens, budgets)
+        sub["transport"] = _theorem4_transport(M, gens, budgets, left, right)
     digest = canonical_digest({
         "check": "theorem4", "module": _module_payload(M),
         "ideal": [element_to_str(a) for a in gens]})
@@ -292,10 +292,11 @@ def check_theorem4(M: FPModule, gens, budgets: Budgets = DEFAULT_BUDGETS,
                              digest)
 
 
-def _theorem4_transport(M: FPModule, gens, budgets: Budgets) -> dict:
+def _theorem4_transport(M: FPModule, gens, budgets: Budgets,
+                        left_B: Verdict, right_B: Verdict) -> dict:
     """Replay both sides over ZZ[t1..tn] with t_i acting through the ideal
-    generators, and compare the decisive statuses and the first tower
-    stages."""
+    generators, and compare the decisive statuses with left_B and right_B,
+    the sides computed over M itself, and the first tower stages."""
     B = M.ring
     n = len(gens)
     A = ring_polynomial(ring_integers(), tuple(f"t{i+1}" for i in range(n)))
@@ -309,12 +310,6 @@ def _theorem4_transport(M: FPModule, gens, budgets: Budgets) -> dict:
              ext_localization(1, tvars[i], MA, budgets, route="tower").vanishing
              for i in range(n)}
     right_A = verdicts.conjunction({"separated": sep_A, **ext_A})
-    left_B = is_complete(M, gens, budgets, refutations="nonstab")
-    right_parts_B = {"separated": is_separated(M, gens, budgets)}
-    for i, a in enumerate(gens):
-        right_parts_B[f"ext1_vanishing_{i}"] = ext_localization(
-            1, a, M, budgets, route="tower").vanishing
-    right_B = verdicts.conjunction(right_parts_B)
     status = {
         "left_transported": left_A.status,
         "right_transported": right_A.status,

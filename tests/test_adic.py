@@ -113,6 +113,8 @@ def test_separated_free_plus_torsion():
     N = FPModule(ZZ, 2, [ints(ZZ, 0, 3)])
     v2 = is_separated(N, [ZZ.from_int(2)], B)
     assert v2.fails()
+    assert v2.witness["kind"] == "saturated_torsion_element"
+    assert v2.witness["element"] == ["0", "1"]
     w = tuple(parse_element(ZZ, s) for s in v2.witness["element"])
     for k in range(1, 6):
         gens = [ints(ZZ, 2 ** k, 0), ints(ZZ, 0, 2 ** k), ints(ZZ, 0, 3)]

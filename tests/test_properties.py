@@ -1,15 +1,21 @@
 """Cross-module invariants: adjunction, reduction chains, verdict soundness."""
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from adiclab.adic import Budgets, chain_profile, is_complete, is_separated
 from adiclab.complexes import (BoundedComplex, ComplexMap, cohomology,
                                complex_from_module, hom_complex,
                                tensor_complex)
 from adiclab.derived import is_cohomologically_complete, telescope_stage
-from adiclab.modules import (FPModule, ModuleHom, cyclic_module, free_module,
-                             membership, modules_isomorphic, std_basis)
-from adiclab.rings import (parse_element, ring_integers, ring_prime_field,
-                           ring_power_series, ring_rationals)
+from adiclab.groebner import ModuleBasis
+from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec, _vec_to_dict,
+                             cyclic_module, free_module, membership,
+                             modules_isomorphic, std_basis, vec_add,
+                             vec_scale)
+from adiclab.rings import (parse_element, ring_integers, ring_polynomial,
+                           ring_prime_field, ring_power_series,
+                           ring_rationals, scalar_domain)
 from adiclab.theorems import (build_example1, check_lemma1, check_theorem2,
                               check_theorem4)
 
@@ -243,3 +249,51 @@ def test_graded_separated_consistent_with_chain():
         prof = chain_profile(M, [xv, yv], B)
         if prof.status == "stabilized":
             assert not prof.tail_gens
+
+
+@st.composite
+def _rows_and_vector(draw):
+    """A few small rows and one vector over ZZ, QQ or GF(5) in 0-2
+    variables and 1-2 positions."""
+    base = draw(st.sampled_from([ZZ, QQ, ring_prime_field(5)]))
+    nvars = draw(st.integers(0, 2))
+    ring = ring_polynomial(base, ("x", "y")[:nvars]) if nvars else base
+    npos = draw(st.integers(1, 2))
+
+    def element():
+        e = ring.zero()
+        for _ in range(draw(st.integers(0, 2))):
+            term = ring.from_int(draw(st.integers(-3, 3)))
+            for v in ring.vars:
+                term = term * ring.variable(v) ** draw(st.integers(0, 2))
+            e = e + term
+        return e
+
+    def vector():
+        return tuple(element() for _ in range(npos))
+
+    rows = [vector() for _ in range(draw(st.integers(1, 3)))]
+    return ring, npos, rows, vector()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rows_and_vector())
+def test_one_reduction_loop_normal_forms_and_witnesses(case):
+    ring, npos, rows, v = case
+    mb = ModuleBasis([_vec_to_dict(r) for r in rows], npos=npos,
+                     nvars=ring.nvars, domain=scalar_domain(ring),
+                     mono_key=ring.mono_key)
+    d = _vec_to_dict(v)
+    nf, witness = mb.reduce_with_witness(d)
+    assert mb.normal_form(d) == nf
+    # reducing every position, tag block included, leaves the same
+    # leading block
+    full = mb._reduce(d, mb.rows)
+    assert {k: c for k, c in full.items() if k[0] < npos} == nf
+    span = _dict_to_vec(nf, npos, ring)
+    for w, r in zip(_dict_to_vec(witness, len(rows), ring), rows):
+        span = vec_add(span, vec_scale(r, w))
+    assert span == v
+    for r in rows:
+        assert mb.contains(_vec_to_dict(r))[0]
+        assert mb.normal_form(_vec_to_dict(r)) == {}

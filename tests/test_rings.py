@@ -102,6 +102,35 @@ def test_parse_and_format_round_trip():
             assert parse_element(ring, element_to_str(e)) == e
 
 
+GF5XY = ring_polynomial(ring_prime_field(5), ("x", "y"))
+KT8 = ring_power_series(QQ, "t", 8)
+
+
+@st.composite
+def printed_element(draw):
+    ring = draw(st.sampled_from([ZZ, QXY, GF5XY, KT8]))
+    den = draw(st.integers(1, 4)) if ring.scalar_base() == QQ else 1
+    e = ring.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        term = ring.from_scalar(Fraction(draw(st.integers(-9, 9)), den))
+        for v in ring.vars:
+            term = term * ring.variable(v) ** draw(st.integers(0, 10))
+        e = e + term
+    return e
+
+
+@settings(max_examples=80, deadline=None)
+@given(printed_element())
+def test_parse_inverts_element_to_str(e):
+    assert parse_element(e.ring, element_to_str(e)) == e
+
+
+def test_unary_minus_applies_to_the_power():
+    x = QXY.variable("x")
+    assert parse_element(QXY, "-x^2") == -(x ** 2)
+    assert parse_element(ZZ, "-2^2") == ZZ.from_int(-4)
+
+
 def test_parse_rejects():
     with pytest.raises(InvalidRing):
         parse_element(QXY, "z + 1")
