@@ -35,4 +35,3 @@ from .derived import (ExtApprox, KoszulStage, TelescopeStage,
 from .theorems import (EquivalenceReport, build_example1, check_lemma1,
                        check_lemma5, check_theorem2, check_theorem3,
                        check_theorem4)
-from .cli import generate_instances, run_instance

@@ -121,8 +121,7 @@ def _euclid_chain(M: FPModule, gens, budgets: Budgets):
     ring = M.ring
     w = work_ring(ring)
     rows = work_rows(ring, M.ambient_rank, M.relations)
-    U, V, Vinv, D, rank = smith_normal_form(rows, w) if rows else (
-        None, None, None, [], 0)
+    Vinv, D, rank = smith_normal_form(rows, w) if rows else (None, [], 0)
     free_rank = M.ambient_rank - rank
     g = _elem_gcd(w, [lift_elem(ring, a) for a in gens])
     info = {"kind": "euclidean_decomposition",
@@ -309,17 +308,6 @@ class Tower:
             self._transitions[k] = self._transition_fn(k)
         return self._transitions[k]
 
-    def check_coherence(self, window: int = 2) -> bool:
-        """Spot-check that materialized transitions compose coherently: the
-        composite of two steps equals a hom from stage k+2 into stage k."""
-        from .modules import compose, homs_equal
-        for k in range(min(window, self.depth - 1)):
-            two_step = compose(self.transition(k), self.transition(k + 1))
-            if two_step.source != self.stage(k + 2) or \
-               two_step.target != self.stage(k):
-                return False
-        return True
-
     def stabilization(self, budgets: Budgets = DEFAULT_BUDGETS):
         """(index, certificate) when the tower provably stabilizes."""
         if self.kind == "quotient":
@@ -331,11 +319,14 @@ class Tower:
                                  budgets)
             if prof.status == "stabilized" and not prof.tail_gens:
                 return prof.stabilized_at, prof.certificate
-        # window detection: all materialized transitions isomorphisms
-        for k in range(min(self.depth, budgets.window)):
-            if all(hom_is_iso(self.transition(j))
-                   for j in range(k, min(self.depth, budgets.window))):
-                return k, {"kind": "window_isomorphisms", "from": k}
+        # window detection: the least k whose transitions up to the end of
+        # the window are all isomorphisms, scanning back from the last one
+        end = min(self.depth, budgets.window)
+        k = end
+        while k > 0 and hom_is_iso(self.transition(k - 1)):
+            k -= 1
+        if k < end:
+            return k, {"kind": "window_isomorphisms", "from": k}
         return None
 
 
@@ -370,12 +361,11 @@ def multiplication_tower(M: FPModule, a: RingElem, depth: int = 16) -> Tower:
 
 @dataclass(frozen=True)
 class LimReport:
-    """Inverse limit description: a decisive value or a window summary."""
+    """Inverse limit description: a decisive value or the reason for none."""
     decisive: bool
     value: FPModule | None
     stabilized_at: int | None
     note: str
-    window: tuple = ()
 
 
 def _mult_tail_iso(M: FPModule, a: RingElem, tail_gens):
@@ -406,9 +396,7 @@ def lim_tower(T: Tower, window: int | None = None,
             return (LimReport(True, value, k0, "tower stabilizes"), lim1)
         note = ("strictly descending forever" if prof.status == "strict_forever"
                 else "undecided within budget")
-        return (LimReport(False, None, None, note,
-                          tuple(T.stage(k) for k in range(min(window, 4)))),
-                lim1)
+        return LimReport(False, None, None, note), lim1
     if T.kind == "multiplication":
         M, a = T.meta["module"], T.meta["elem"]
         prof = chain_profile(M, [a], budgets)
@@ -443,24 +431,7 @@ def lim_tower(T: Tower, window: int | None = None,
                 return (LimReport(False, None, None,
                                   "nonzero divisible families exist"), lim1)
             return (LimReport(False, None, None, "undecided"), lim1)
-        return (LimReport(False, None, None, "undecided within budget"),
-                verdicts.unknown(budget))
-    # hom/custom towers: window evidence only
-    isos = []
-    for k in range(window):
-        isos.append(hom_is_iso(T.transition(k)))
-    start = None
-    for k in range(len(isos)):
-        if all(isos[k:]) and len(isos) - k >= budgets.stab_window:
-            start = k
-            break
-    if start is not None:
-        return (LimReport(True, T.stage(start), start,
-                          "window isomorphisms"),
-                verdicts.holds({"kind": "mittag_leffler_window",
-                                "from": start, "window": window}, budget))
-    return (LimReport(False, None, None, "no stabilization in window",
-                      tuple(T.stage(k) for k in range(min(window, 4)))),
+    return (LimReport(False, None, None, "undecided within budget"),
             verdicts.unknown(budget))
 
 
@@ -613,10 +584,6 @@ class DecayApprox:
                 raise ParentMismatch("value outside the ring")
             if not v.is_zero() and (v.valuation() or 0) < d:
                 raise ParentMismatch("value breaks its decay level")
-
-    @property
-    def support_bound(self):
-        return len(self.values)
 
     @property
     def precision(self):

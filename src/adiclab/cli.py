@@ -15,7 +15,7 @@ import concurrent.futures
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .adic import Budgets, completion_tower, is_complete, is_separated, lim_tower
@@ -54,6 +54,10 @@ def _check_keys(obj, required, optional, path):
         raise ParseError(path, f"unknown fields {sorted(extra)}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class Instance:
     ring: RingSpec
@@ -63,7 +67,6 @@ class Instance:
     maps: dict
     tasks: list
     seed: int | None
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _parse_module(ring, data, path) -> FPModule:
@@ -81,6 +84,10 @@ def _parse_module(ring, data, path) -> FPModule:
         except AdicLabError as e:
             raise ParseError(f"{path}.relations[{i}]", str(e)) from None
     grading = data.get("grading")
+    if grading is not None and not (
+            isinstance(grading, list) and len(grading) == n
+            and all(_is_int(g) for g in grading)):
+        raise ParseError(f"{path}.grading", f"expected a list of {n} integers")
     return FPModule(ring, n, rels, grading=grading)
 
 
@@ -138,6 +145,8 @@ _TASK_SCHEMAS = {
     "lim_tower": (["module"], ["ideal", "element", "kind"]),
 }
 
+_BUDGET_FIELDS = tuple(Budgets().as_dict())
+
 
 def parse_instance(data, path="$") -> Instance:
     _check_keys(data, ["ring", "tasks"],
@@ -190,6 +199,15 @@ def parse_instance(data, path="$") -> Instance:
             raise ParseError(tpath, f"unknown command {cmd!r}")
         req, opt = _TASK_SCHEMAS[cmd]
         _check_keys(task, ["command"] + req, opt + ["budgets"], tpath)
+        for key in ("support", "precision", "depth"):
+            if key in task and not _is_int(task[key]):
+                raise ParseError(f"{tpath}.{key}", "expected an integer")
+        if "budgets" in task:
+            _check_keys(task["budgets"], [], _BUDGET_FIELDS, f"{tpath}.budgets")
+            for key, val in task["budgets"].items():
+                if not _is_int(val) or val < 0:
+                    raise ParseError(f"{tpath}.budgets.{key}",
+                                     "expected a nonnegative integer")
         for key in ("module", "complex"):
             if key in task:
                 pool = modules if key == "module" else complexes
@@ -209,8 +227,7 @@ def parse_instance(data, path="$") -> Instance:
     seed = data.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise ParseError(f"{path}.seed", "seed must be an integer")
-    return Instance(ring, modules, complexes, ideals, maps, list(tasks),
-                    seed, raw=data)
+    return Instance(ring, modules, complexes, ideals, maps, list(tasks), seed)
 
 
 def serialize_instance(inst: Instance) -> dict:
@@ -251,11 +268,7 @@ def serialize_instance(inst: Instance) -> dict:
 
 
 def _task_budgets(base: Budgets, task) -> Budgets:
-    over = task.get("budgets") or {}
-    return Budgets(depth=over.get("depth", base.depth),
-                   window=over.get("window", base.window),
-                   stages=over.get("stages", base.stages),
-                   stab_window=over.get("stab_window", base.stab_window))
+    return Budgets(**{**base.as_dict(), **task.get("budgets", {})})
 
 
 def _pack_verdict_task(command, v: Verdict, budgets: Budgets) -> dict:
@@ -706,7 +719,7 @@ def generate_instances(seed: int, count: int, profile: str) -> list:
                              f"choose from {', '.join(PROFILES)}")
     rng = random.Random(seed)
     out = []
-    for i in range(count):
+    for _ in range(count):
         data = _GENERATORS[profile](rng, seed)
         parse_instance(data)  # schema self-check
         out.append(data)
@@ -738,7 +751,6 @@ def main(argv=None) -> int:
     runp.add_argument("--window", type=int, default=2,
                       help="stabilization window")
     runp.add_argument("--format", choices=["text", "machine"], default="text")
-    runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--jobs", type=int, default=1)
 
     genp = sub.add_parser("generate", help="emit a deterministic corpus")

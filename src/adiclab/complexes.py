@@ -58,9 +58,6 @@ class BoundedComplex:
                 if not compose(self.diffs[j + 1], self.diffs[j]).is_zero_hom():
                     raise InvalidComplex(f"d o d != 0 at degree {j}")
 
-    def degrees(self):
-        return sorted(self.entries)
-
     def entry(self, j: int) -> FPModule:
         if j in self.entries:
             return self.entries[j]
@@ -77,9 +74,6 @@ class BoundedComplex:
         lo, hi = min(self.entries), max(self.entries)
         return range(lo, hi + 1)
 
-    def is_free(self) -> bool:
-        return all(m.is_free_presentation() for m in self.entries.values())
-
     # -- cohomology ---------------------------------------------------------
 
     def cohomology_data(self, j: int) -> "CohomologyData":
@@ -90,14 +84,6 @@ class BoundedComplex:
 
     def cohomology_support(self):
         return [j for j in self.window() if not self.cohomology_data(j).module.is_zero()]
-
-    def sup(self):
-        s = self.cohomology_support()
-        return max(s) if s else None
-
-    def inf(self):
-        s = self.cohomology_support()
-        return min(s) if s else None
 
     def amplitude(self):
         s = self.cohomology_support()
@@ -196,13 +182,6 @@ class ComplexMap:
                     for r1, r2 in zip(lhs.matrix, rhs.matrix)]
             if not ModuleHom(lhs.source, lhs.target, diff, check=False).is_zero_hom():
                 raise InvalidComplex(f"square at degree {j} does not commute")
-
-
-def compose_complex_maps(g: ComplexMap, f: ComplexMap) -> ComplexMap:
-    comps = {}
-    for j in set(f.components) | set(g.components):
-        comps[j] = compose(g.component(j), f.component(j))
-    return ComplexMap(f.source, g.target, comps, check=False)
 
 
 def identity_complex_map(C: BoundedComplex) -> ComplexMap:
@@ -432,32 +411,6 @@ def hom_complex_map(phi: ComplexMap, X) -> ComplexMap:
                     mat[toff + a][soff + a] = mat[toff + a][soff + a] + coeff
         comps[n] = ModuleHom(HG.entry(n), HF.entry(n), mat, check=False)
     return ComplexMap(HG, HF, comps, check=False)
-
-
-def hom_into_map(F: BoundedComplex, psi: ComplexMap) -> ComplexMap:
-    """Hom(1_F, psi): Hom(F, psi.source) -> Hom(F, psi.target)."""
-    X, Y = psi.source, psi.target
-    HX = hom_complex(F, X)
-    HY = hom_complex(F, Y)
-    comps = {}
-    for n in set(HX.entries) | set(HY.entries):
-        src_blocks, src_total = _hom_blocks(F, X, n)
-        tgt_blocks, tgt_total = _hom_blocks(F, Y, n)
-        src_index = {(p, i): (off, Xm) for p, i, off, Xm in src_blocks}
-        z = F.ring.zero()
-        mat = [[z] * src_total for _ in range(tgt_total)]
-        for p, i, toff, Ym in tgt_blocks:
-            if (p, i) not in src_index:
-                continue
-            soff, Xm = src_index[(p, i)]
-            comp = psi.component(p + n)
-            for b in range(Ym.ambient_rank):
-                for a in range(Xm.ambient_rank):
-                    e = comp.matrix[b][a]
-                    if not e.is_zero():
-                        mat[toff + b][soff + a] = e
-        comps[n] = ModuleHom(HX.entry(n), HY.entry(n), mat, check=False)
-    return ComplexMap(HX, HY, comps, check=False)
 
 
 def _tensor_blocks(F: BoundedComplex, G: BoundedComplex, n: int):

@@ -27,8 +27,8 @@ from .complexes import (BoundedComplex, ComplexMap, cohomology,
                         induced_cohomology_map, shift_complex,
                         tensor_complex, tensor_complex_map)
 from .errors import BudgetExceeded, ParentMismatch
-from .modules import (FPModule, ModuleHom, free_module, identity_hom,
-                      kernel_hom, modules_isomorphic, std_basis)
+from .modules import (FPModule, ModuleHom, free_module, kernel_hom,
+                      modules_isomorphic, std_basis)
 from .rings import RingElem, RingSpec, element_to_str
 from . import verdicts
 from .verdicts import Verdict
@@ -45,7 +45,6 @@ class TelescopeStage:
     complex: BoundedComplex
     augmentation: ComplexMap            # complex -> unit complex in degree 0
     plus_part: BoundedComplex | None    # single-generator stages only
-    plus_inclusion: ComplexMap | None
 
 
 def _single_telescope(a: RingElem, N: int) -> BoundedComplex:
@@ -73,7 +72,7 @@ def _single_augmentation(a: RingElem, N: int, C: BoundedComplex) -> ComplexMap:
     return ComplexMap(C, A0, {0: u0}, check=False)
 
 
-def _single_plus(a: RingElem, N: int, C: BoundedComplex):
+def _single_plus(a: RingElem, N: int) -> BoundedComplex:
     ring = a.ring
     P0 = free_module(ring, N)       # delta_1..delta_N
     P1 = free_module(ring, N + 1)   # delta_0..delta_N
@@ -84,13 +83,7 @@ def _single_plus(a: RingElem, N: int, C: BoundedComplex):
         mat[i - 1][c] = mat[i - 1][c] + ring.one()
         mat[i][c] = mat[i][c] - a
     d = ModuleHom(P0, P1, mat, check=False)
-    plus = BoundedComplex(ring, {0: P0, 1: P1}, {0: d}, check=False)
-    inc0 = [[ring.one() if i == c + 1 else z for c in range(N)]
-            for i in range(N + 1)]
-    incl = ComplexMap(plus, C, {
-        0: ModuleHom(P0, C.entry(0), inc0, check=False),
-        1: identity_hom(P1)}, check=False)
-    return plus, incl
+    return BoundedComplex(ring, {0: P0, 1: P1}, {0: d}, check=False)
 
 
 def telescope_stage(a_list, N: int) -> TelescopeStage:
@@ -117,48 +110,8 @@ def telescope_stage(a_list, N: int) -> TelescopeStage:
                               joined.component(j).matrix, check=False)
                  for j in joined.components}
         u = ComplexMap(C, A0, comps, check=False)
-    plus = incl = None
-    if len(a_list) == 1:
-        plus, incl = _single_plus(a_list[0], N, C)
-    return TelescopeStage(tuple(a_list), N, C, u, plus, incl)
-
-
-def telescope_inclusion(a_list, N: int, N2: int) -> ComplexMap:
-    """Stage inclusion Tel(N) -> Tel(N2) for N <= N2, per generator factor."""
-    if N2 < N:
-        raise BudgetExceeded("inclusion goes into a deeper stage")
-    a_list = list(a_list)
-    ring = a_list[0].ring
-    z = ring.zero()
-
-    def single(a):
-        Cs = _single_telescope(a, N)
-        Ct = _single_telescope(a, N2)
-        emb = [[ring.one() if i == c else z for c in range(N + 1)]
-               for i in range(N2 + 1)]
-        return ComplexMap(Cs, Ct, {
-            0: ModuleHom(Cs.entry(0), Ct.entry(0), emb, check=False),
-            1: ModuleHom(Cs.entry(1), Ct.entry(1), emb, check=False)},
-            check=False)
-
-    phi = single(a_list[0])
-    for a in a_list[1:]:
-        phi = tensor_complex_map(phi, single(a))
-    return phi
-
-
-def plus_inclusion_between(a: RingElem, N: int, N2: int) -> ComplexMap:
-    """Stage inclusion of plus parts for a single generator."""
-    ring = a.ring
-    Ps = telescope_stage([a], N).plus_part
-    Pt = telescope_stage([a], N2).plus_part
-    z = ring.zero()
-    e0 = [[ring.one() if i == c else z for c in range(N)] for i in range(N2)]
-    e1 = [[ring.one() if i == c else z for c in range(N + 1)]
-          for i in range(N2 + 1)]
-    return ComplexMap(Ps, Pt, {
-        0: ModuleHom(Ps.entry(0), Pt.entry(0), e0, check=False),
-        1: ModuleHom(Ps.entry(1), Pt.entry(1), e1, check=False)}, check=False)
+    plus = _single_plus(a_list[0], N) if len(a_list) == 1 else None
+    return TelescopeStage(tuple(a_list), N, C, u, plus)
 
 
 def shift_complex_map(phi: ComplexMap, k: int) -> ComplexMap:
@@ -196,25 +149,6 @@ def koszul_stage(a_list, j: int) -> KoszulStage:
     return KoszulStage(tuple(a_list), j, C)
 
 
-def koszul_transition(a_list, j: int) -> ComplexMap:
-    """Stage map K_j -> K_(j+1): identity in degree 0, multiplication by the
-    generator on each degree-1 factor."""
-    a_list = list(a_list)
-
-    def single(a):
-        Cs = _single_koszul(a, j)
-        Ct = _single_koszul(a, j + 1)
-        return ComplexMap(Cs, Ct, {
-            0: identity_hom(Cs.entry(0)),
-            1: ModuleHom(Cs.entry(1), Ct.entry(1), [[a]], check=False)},
-            check=False)
-
-    phi = single(a_list[0])
-    for a in a_list[1:]:
-        phi = tensor_complex_map(phi, single(a))
-    return phi
-
-
 # ---------------------------------------------------------------------------
 # localization Ext
 
@@ -232,14 +166,6 @@ class ExtApprox:
     details: dict = field(default_factory=dict)
 
 
-def _plus_hom_cohomology(a: RingElem, M: FPModule, N: int):
-    """Cohomology data of Hom(plus_part(N)[1], M) in degrees 0 and 1."""
-    plus = telescope_stage([a], N).plus_part
-    shifted = shift_complex(plus, 1)
-    H = hom_complex(shifted, M)
-    return H
-
-
 def _telescope_ext(a: RingElem, M: FPModule, budgets: Budgets):
     """Telescope-route Ext analysis: materialize two consecutive stage
     cohomologies, verify the multiplication pattern of the restriction, and
@@ -249,13 +175,22 @@ def _telescope_ext(a: RingElem, M: FPModule, budgets: Budgets):
     scale for wide modules; the stage used is recorded."""
     N = max(2, min(budgets.stages, 24 // max(1, M.ambient_rank)))
     ring = M.ring
-    HN = _plus_hom_cohomology(a, M, N)
-    HN1 = _plus_hom_cohomology(a, M, N + 1)
-    incl = plus_inclusion_between(a, N, N + 1)
+    # stage inclusion of plus parts: delta_i -> delta_i in both degrees
+    Ps = telescope_stage([a], N).plus_part
+    Pt = telescope_stage([a], N + 1).plus_part
+    z = ring.zero()
+    e0 = [[ring.one() if i == c else z for c in range(N)]
+          for i in range(N + 1)]
+    e1 = [[ring.one() if i == c else z for c in range(N + 1)]
+          for i in range(N + 2)]
+    incl = ComplexMap(Ps, Pt, {
+        0: ModuleHom(Ps.entry(0), Pt.entry(0), e0, check=False),
+        1: ModuleHom(Ps.entry(1), Pt.entry(1), e1, check=False)}, check=False)
+    # restriction Hom(plus(N+1)[1], M) -> Hom(plus(N)[1], M); its source
+    # and target are the two stage Hom complexes
     restr = hom_complex_map(shift_complex_map(incl, 1), M)
-    # restriction: Hom(plus(N+1)[1], M) -> Hom(plus(N)[1], M)
-    rho = induced_cohomology_map(
-        ComplexMap(restr.source, restr.target, restr.components, check=False), 0)
+    HN, HN1 = restr.target, restr.source
+    rho = induced_cohomology_map(restr, 0)
     P = rho.target  # stage-N H^0 presentation
     stage_vals = {N: rho.target, N + 1: rho.source}
     details = {"stage": N}

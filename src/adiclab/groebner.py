@@ -69,7 +69,6 @@ class ModuleBasis:
         self.nvars = nvars
         self.domain = domain
         self.mono_key = mono_key
-        self.ntags = len(rows) if want_tags else 0
         self.want_tags = want_tags
         tagged = []
         zero_mono = (0,) * nvars
@@ -255,7 +254,7 @@ class ModuleBasis:
 
     def syzygies(self):
         """Generating relations among the tagged inputs, as rows over the
-        tag coordinates 0..ntags-1."""
+        tag coordinates (coordinate i is input row i)."""
         if not self.want_tags:
             raise ValueError("basis built without tags")
         return [{(pos - self.npos, e): c for (pos, e), c in r.items()}

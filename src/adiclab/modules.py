@@ -240,9 +240,6 @@ class FPModule:
     def normal_form(self, vec):
         return self.relations_basis().normal_form(vec)
 
-    def elem_is_zero(self, vec) -> bool:
-        return self.relations_basis().contains(vec)[0]
-
     def is_graded_module(self) -> bool:
         """Ring graded, generators in degree 0 (or the stored grading), and
         every relation homogeneous for it."""
@@ -424,18 +421,6 @@ def compose(g: ModuleHom, f: ModuleHom) -> ModuleHom:
             row.append(acc)
         mat.append(tuple(row))
     return ModuleHom(f.source, g.target, mat, check=False)
-
-
-def homs_equal(f: ModuleHom, g: ModuleHom) -> bool:
-    """Equality as morphisms: columns agree modulo target relations."""
-    if f.source != g.source or f.target != g.target:
-        return False
-    tb = f.target.relations_basis()
-    for j in range(f.source.ambient_rank):
-        diff = tuple(a - b for a, b in zip(f.column(j), g.column(j)))
-        if not tb.contains(diff)[0]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

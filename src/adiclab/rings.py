@@ -107,9 +107,6 @@ class IntegerScalars:
     def size(self, a):
         return abs(a)
 
-    def sort_key(self, a):
-        return a
-
 
 class RationalScalars:
     name = "rationals"
@@ -158,9 +155,6 @@ class RationalScalars:
 
     def size(self, a):
         return 0 if a == 0 else 1
-
-    def sort_key(self, a):
-        return a
 
 
 class PrimeFieldScalars:
@@ -219,9 +213,6 @@ class PrimeFieldScalars:
     def size(self, a):
         return 0 if a % self.p == 0 else 1
 
-    def sort_key(self, a):
-        return a
-
 
 # ---------------------------------------------------------------------------
 # ring specifications
@@ -253,10 +244,6 @@ class RingSpec:
     precision: int | None = None
 
     # -- structural helpers ------------------------------------------------
-
-    @property
-    def noetherian(self) -> bool:
-        return True
 
     @property
     def nvars(self) -> int:
@@ -312,9 +299,6 @@ class RingSpec:
         i = self.var_index(name)
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
         return RingElem(self, {exps: scalar_domain(self).one})
-
-    def gens(self) -> "list[RingElem]":
-        return [self.variable(v) for v in self.vars]
 
     def __repr__(self):
         if self.kind == INTEGERS:
@@ -491,9 +475,6 @@ class RingElem:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self == self.ring.one()
 
     def is_unit(self) -> bool:
         dom = scalar_domain(self.ring)

@@ -1,60 +1,36 @@
-"""Smith normal form with transforms over the Euclidean computation rings.
+"""Smith normal form over the Euclidean computation rings.
 
 Works over the integers, over fields, and over univariate polynomial rings
-with field coefficients (the rings elem_divstep supports).  Used for the
-fast diagonalization path of standard bases and for the invariant-factor
-comparison of finitely presented modules.
+with field coefficients (the rings elem_divstep supports).  Used by the
+Euclidean chain analysis and for the invariant-factor comparison of
+finitely presented modules.
 """
 from __future__ import annotations
 
 from .rings import RingSpec, elem_divstep, euclid_size, scalar_domain
 
 
-def identity_matrix(ring: RingSpec, n: int):
-    one, zero = ring.one(), ring.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(ring: RingSpec, A, B):
-    if not A or not B:
-        return []
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    zero = ring.zero()
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = zero
-            for t in range(k):
-                if not A[i][t].is_zero() and not B[t][j].is_zero():
-                    acc = acc + A[i][t] * B[t][j]
-            out[i][j] = acc
-    return out
-
-
 def smith_normal_form(matrix, ring: RingSpec):
-    """(U, V, Vinv, D, rank) with U * matrix * V = D diagonal, d1 | d2 | ...
+    """(Vinv, D, rank) with U * matrix * V = D diagonal, d1 | d2 | ...
 
-    U and V are invertible over the ring (Vinv is the inverse of V);
-    diagonal entries are unit normalized (nonnegative over the integers,
-    monic over k[t])."""
+    U and V are invertible over the ring and are not kept; Vinv is the
+    inverse of V, so row i of D * Vinv is d_i * (row i of Vinv) and these
+    rows span the same submodule as the rows of matrix.  Diagonal entries
+    are unit normalized (nonnegative over the integers, monic over k[t])."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     A = [[e for e in r] for r in matrix]
-    U = identity_matrix(ring, rows)
-    V = identity_matrix(ring, cols)
-    Vinv = identity_matrix(ring, cols)
+    one, zero = ring.one(), ring.zero()
+    Vinv = [[one if i == j else zero for j in range(cols)]
+            for i in range(cols)]
 
     def row_sub(i, j, q):  # row_i -= q * row_j
         for t in range(cols):
             A[i][t] = A[i][t] - q * A[j][t]
-        for t in range(rows):
-            U[i][t] = U[i][t] - q * U[j][t]
 
     def col_sub(j, i, q):  # col_j -= q * col_i
         for t in range(rows):
             A[t][j] = A[t][j] - q * A[t][i]
-        for t in range(cols):
-            V[t][j] = V[t][j] - q * V[t][i]
         for t in range(cols):
             Vinv[i][t] = Vinv[i][t] + q * Vinv[j][t]
 
@@ -62,21 +38,16 @@ def smith_normal_form(matrix, ring: RingSpec):
         for t in range(rows):
             A[t][j] = A[t][j] + A[t][i]
         for t in range(cols):
-            V[t][j] = V[t][j] + V[t][i]
-        for t in range(cols):
             Vinv[i][t] = Vinv[i][t] - Vinv[j][t]
 
     def row_swap(i, j):
         if i != j:
             A[i], A[j] = A[j], A[i]
-            U[i], U[j] = U[j], U[i]
 
     def col_swap(i, j):
         if i != j:
             for t in range(rows):
                 A[t][i], A[t][j] = A[t][j], A[t][i]
-            for t in range(cols):
-                V[t][i], V[t][j] = V[t][j], V[t][i]
             Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     t = 0
@@ -153,9 +124,7 @@ def smith_normal_form(matrix, ring: RingSpec):
         if u != dom.one:
             for j in range(cols):
                 A[i][j] = A[i][j].scale(u)
-            for j in range(rows):
-                U[i][j] = U[i][j].scale(u)
-    return U, V, Vinv, A, rank
+    return Vinv, A, rank
 
 
 def invariant_factors(matrix, ring: RingSpec, ambient_rank: int | None = None):
@@ -167,7 +136,7 @@ def invariant_factors(matrix, ring: RingSpec, ambient_rank: int | None = None):
         len(matrix[0]) if matrix else 0)
     if not matrix:
         return [], cols
-    _, _, _, D, rank = smith_normal_form(matrix, ring)
+    _, D, rank = smith_normal_form(matrix, ring)
     factors = []
     for i in range(rank):
         d = D[i][i]

@@ -482,7 +482,6 @@ def _example1_quasi_iso(D: DecayModule, P: BoundedComplex, avatar: FPModule,
     quotient module: the finite-stage kernel of the diagonal map consists
     entirely of truncation ghosts, and the degree-zero comparison is an
     isomorphism outright."""
-    ring = D.ring
     N = D.precision
     budget = {**budgets.as_dict(), "support": D.support, "precision": N}
     delta = P.differential(-1)

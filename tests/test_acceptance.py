@@ -23,7 +23,7 @@ from adiclab.modules import (FPModule, ModuleHom, free_module, image_coker,
                              submodule_presentation)
 from adiclab.rings import (parse_element, ring_integers, ring_prime_field,
                            ring_power_series, ring_rationals)
-from adiclab.smith import mat_mul, smith_normal_form
+from adiclab.smith import smith_normal_form
 from adiclab.theorems import build_example1, check_theorem2
 
 ZZ = ring_integers()
@@ -313,8 +313,7 @@ def test_criterion_6b_snf_oracle():
         c = rng.randrange(1, 5)
         ints = [[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)]
         A = [[ZZ.from_int(v) for v in row] for row in ints]
-        U, V, Vinv, D, rank = smith_normal_form(A, ZZ)
-        assert mat_mul(ZZ, mat_mul(ZZ, U, A), V) == D
+        _, D, rank = smith_normal_form(A, ZZ)
         gcds = _determinantal_gcds(ints)
         prod = 1
         for i in range(min(r, c)):

@@ -6,9 +6,9 @@ from adiclab.adic import (Budgets, DecayApprox, DecayModule, chain_profile,
                           is_separated, lim_tower, multiplication_tower,
                           nilpotent_on_module)
 from adiclab.errors import BudgetExceeded, PrecisionExceeded
-from adiclab.modules import (FPModule, cyclic_module, free_module,
-                             membership, modules_equal, modules_isomorphic,
-                             quotient_module, std_basis)
+from adiclab.modules import (FPModule, ModuleHom, compose, cyclic_module,
+                             free_module, membership, modules_equal,
+                             modules_isomorphic, quotient_module, std_basis)
 from adiclab.rings import (parse_element, ring_integers, ring_polynomial,
                            ring_power_series, ring_prime_field,
                            ring_rationals)
@@ -261,8 +261,28 @@ def test_decay_module_minimal_instance():
 
 
 def test_tower_transitions_compose_coherently():
+    # transitions are built unchecked; rebuilding them with check=True
+    # verifies that relations map into relations, and two steps compose to
+    # the canonical map stage(k+2) -> stage(k)
     M = cyclic_module(ZZ, ZZ.from_int(12))
-    T = completion_tower(M, [ZZ.from_int(2)], depth=5)
-    assert T.check_coherence(3)
-    Tm = multiplication_tower(M, ZZ.from_int(2), depth=5)
-    assert Tm.check_coherence(3)
+    two = ZZ.from_int(2)
+    for T, two_step in [(completion_tower(M, [two], depth=5), ZZ.one()),
+                        (multiplication_tower(M, two, depth=5), two * two)]:
+        for k in range(3):
+            f, g = T.transition(k), T.transition(k + 1)
+            ModuleHom(f.source, f.target, f.matrix)
+            h = compose(f, g)
+            assert (h.source, h.target) == (T.stage(k + 2), T.stage(k))
+            assert h.matrix == ((two_step,),)
+            ModuleHom(h.source, h.target, h.matrix)
+
+
+def test_tower_window_isomorphisms_from_last_transition():
+    # past the chain budget, stabilization falls back to the window: over
+    # QQ[x,y]/(x^3) the stages M/x^k M stop changing from k = 3 on
+    x = QXY.variable("x")
+    M = cyclic_module(QXY, x ** 3)
+    b = Budgets(depth=1, window=6)
+    T = completion_tower(M, [x], depth=4, budgets=b)
+    assert T.stabilization(b) == (3, {"kind": "window_isomorphisms",
+                                      "from": 3})

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,3 +167,46 @@ def test_witness_serialized_in_machine_report():
     verdict = blob["tasks"][0]["verdict"]
     assert verdict["status"] == "fails"
     assert isinstance(verdict["witness"]["element"], list)
+
+
+def _with_task(**fields):
+    data = z12_instance()
+    data["tasks"][0].update(fields)
+    return data
+
+
+def _example1_support_string():
+    data = generate_instances(1, 1, "example1")[0]
+    data["tasks"][0]["support"] = "4"
+    return data
+
+
+def _grading_string():
+    data = z12_instance()
+    data["modules"]["M"]["grading"] = "ab"
+    return data
+
+
+@pytest.mark.parametrize("data, position", [
+    (_with_task(budgets={"depth": "x"}), "$.tasks[0].budgets.depth"),
+    (_with_task(budgets={"dept": 3}), "$.tasks[0].budgets: unknown fields"),
+    (_example1_support_string(), "$.tasks[0].support"),
+    (_grading_string(), "$.modules.M.grading"),
+])
+def test_malformed_numeric_field_is_parse_error(tmp_path, capsys, data,
+                                                position):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", str(f)]) == EXIT_USAGE
+    assert position in capsys.readouterr().err
+
+
+def test_module_entry_point_writes_nothing_to_stderr():
+    import adiclab
+    src = str(Path(adiclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "adiclab.cli", "generate",
+                           "--seed", "1", "--count", "1", "--profile", "pid"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -14,7 +14,7 @@ from adiclab.modules import (FPModule, ModuleHom, compose, cyclic_module, image_
                              vec_is_zero, vec_scale, zero_module)
 from adiclab.rings import (ring_integers, ring_polynomial, ring_power_series,
                            ring_prime_field, ring_rationals)
-from adiclab.smith import smith_normal_form, mat_mul
+from adiclab.smith import smith_normal_form
 
 ZZ = ring_integers()
 QQ = ring_rationals()
@@ -48,7 +48,7 @@ def test_std_basis_ideal_xy_syzygy():
 def test_std_basis_snf_diag23():
     # 2x2 integer row/column reduction oracle: diag(2,3) ~ diag(1,6)
     rows = [ints(ZZ, 2, 0), ints(ZZ, 0, 3)]
-    _, _, _, D, rank = smith_normal_form([list(r) for r in rows], ZZ)
+    _, D, rank = smith_normal_form([list(r) for r in rows], ZZ)
     assert rank == 2
     assert D[0][0] == ZZ.from_int(1)
     assert D[1][1] == ZZ.from_int(6)
@@ -89,12 +89,7 @@ def test_smith_transforms_multiply_out():
         cols = rng.randrange(1, 4)
         A = [[ZZ.from_int(rng.randrange(-9, 10)) for _ in range(cols)]
              for _ in range(rows)]
-        U, V, Vinv, D, rank = smith_normal_form(A, ZZ)
-        assert mat_mul(ZZ, mat_mul(ZZ, U, A), V) == D
-        n = len(V)
-        ident = [[ZZ.one() if i == j else ZZ.zero() for j in range(n)]
-                 for i in range(n)]
-        assert mat_mul(ZZ, V, Vinv) == ident
+        _, D, rank = smith_normal_form(A, ZZ)
         for i in range(rank - 1):
             from adiclab.rings import elem_divstep
             _, r = elem_divstep(D[i + 1][i + 1], D[i][i])
@@ -352,7 +347,7 @@ def test_coker_of_truncated_diagonal_map():
 
 def test_std_basis_smith_divisibility_chain():
     sb = std_basis([ints(ZZ, 4, 2), ints(ZZ, 6, 0), ints(ZZ, 0, 10)], ZZ)
-    U, V, Vinv, D, rank = smith_normal_form(list(sb.generators), ZZ)
+    _, D, rank = smith_normal_form(list(sb.generators), ZZ)
     from adiclab.rings import elem_divstep
     for i in range(rank - 1):
         _, r = elem_divstep(D[i + 1][i + 1], D[i][i])

@@ -11,11 +11,12 @@ from adiclab.derived import is_cohomologically_complete, telescope_stage
 from adiclab.groebner import ModuleBasis
 from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec, _vec_to_dict,
                              cyclic_module, free_module, membership,
-                             modules_isomorphic, std_basis, vec_add,
-                             vec_scale)
-from adiclab.rings import (parse_element, ring_integers, ring_polynomial,
-                           ring_prime_field, ring_power_series,
-                           ring_rationals, scalar_domain)
+                             modules_equal, modules_isomorphic, std_basis,
+                             vec_add, vec_scale)
+from adiclab.rings import (elem_divstep, parse_element, ring_integers,
+                           ring_polynomial, ring_prime_field,
+                           ring_power_series, ring_rationals, scalar_domain)
+from adiclab.smith import smith_normal_form
 from adiclab.theorems import (build_example1, check_lemma1, check_theorem2,
                               check_theorem4)
 
@@ -297,3 +298,40 @@ def test_one_reduction_loop_normal_forms_and_witnesses(case):
     for r in rows:
         assert mb.contains(_vec_to_dict(r))[0]
         assert mb.normal_form(_vec_to_dict(r)) == {}
+
+
+@st.composite
+def _euclidean_matrix(draw):
+    """A 1-3 x 1-3 matrix over ZZ, QQ[x] or GF(5)[x], polynomial entries of
+    degree at most 2."""
+    ring = draw(st.sampled_from([ZZ, ring_polynomial(QQ, ("x",)),
+                                 ring_polynomial(ring_prime_field(5),
+                                                 ("x",))]))
+
+    def element():
+        if not ring.nvars:
+            return ring.from_int(draw(st.integers(-9, 9)))
+        x = ring.variable("x")
+        return sum((ring.from_int(draw(st.integers(-3, 3))) * x ** d
+                    for d in range(3)), ring.zero())
+
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return ring, [[element() for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_euclidean_matrix())
+def test_smith_form_spans_rows_through_inverse_column_transform(case):
+    ring, A = case
+    Vinv, D, rank = smith_normal_form(A, ring)
+    cols = len(A[0])
+    for i, row in enumerate(D):
+        assert all(e.is_zero() for j, e in enumerate(row)
+                   if j != i or i >= rank)
+    # D = U A V with U invertible, so the rows of A span the rows of D Vinv
+    scaled = [tuple(D[i][i] * e for e in Vinv[i]) for i in range(rank)]
+    assert modules_equal(FPModule(ring, cols, [tuple(r) for r in A]),
+                         FPModule(ring, cols, scaled))
+    assert FPModule(ring, cols, [tuple(r) for r in Vinv]).is_zero()
+    for i in range(rank - 1):
+        assert elem_divstep(D[i + 1][i + 1], D[i][i])[1].is_zero()
