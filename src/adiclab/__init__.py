@@ -27,7 +27,7 @@ from .complexes import (BoundedComplex, ComplexMap, cohomology, cone,
 from .verdicts import Verdict
 from .adic import (Budgets, DecayApprox, DecayModule, Tower, chain_profile,
                    completion_tower, fdec_reduce, is_complete, is_separated,
-                   lim_tower, multiplication_tower)
+                   lim_tower, memo_scope, multiplication_tower)
 from .derived import (ExtApprox, KoszulStage, TelescopeStage,
                       derived_completion_stage, ext_localization,
                       is_cohomologically_complete, koszul_stage,

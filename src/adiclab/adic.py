@@ -22,6 +22,8 @@ recorded in the certificates they justify.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -225,8 +227,43 @@ def nilpotent_on_module(a: RingElem, M: FPModule) -> bool | None:
     return Q.is_zero()
 
 
+# The memo of the active `memo_scope`; None outside any scope.
+_MEMO: ContextVar[dict | None] = ContextVar("adiclab_memo", default=None)
+
+
+@contextmanager
+def memo_scope():
+    """Memoise chain analyses for the duration of one instance.
+
+    A nested scope reuses the outer memo; leaving the outermost scope drops
+    it.  Usable as a decorator as well as a context manager."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def chain_profile(M: FPModule, gens, budgets: Budgets = DEFAULT_BUDGETS) -> ChainProfile:
-    """Certified analysis of the chain a^k M for the ideal a = (gens)."""
+    """Certified analysis of the chain a^k M for the ideal a = (gens).
+
+    Inside a `memo_scope` each (module, grading, ideal, budgets) is analysed
+    once.  The grading is part of the key because module equality ignores
+    it while the graded certificates read it."""
+    memo = _MEMO.get()
+    if memo is None:
+        return _chain_profile(M, gens, budgets)
+    key = (M, M.grading, tuple(gens), budgets)
+    prof = memo.get(key)
+    if prof is None:
+        prof = memo[key] = _chain_profile(M, gens, budgets)
+    return prof
+
+
+def _chain_profile(M: FPModule, gens, budgets: Budgets) -> ChainProfile:
     gens = _gens_valid(M, gens)
     budget = budgets.as_dict()
     if M.is_zero():

@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import random
 import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .adic import Budgets, completion_tower, is_complete, is_separated, lim_tower
+from .adic import (Budgets, completion_tower, is_complete, is_separated,
+                   lim_tower, memo_scope)
 from .complexes import BoundedComplex
 from .derived import ext_localization, is_cohomologically_complete
 from .errors import AdicLabError, ParseError, TaskError, UnknownProfile
-from .modules import FPModule, ModuleHom
+from .modules import FPModule, ModuleHom, module_data
 from .rings import (RingMap, RingSpec, element_to_str, make_ring,
                     parse_element, ring_polynomial, ring_integers,
                     ring_to_desc)
@@ -233,17 +235,11 @@ def parse_instance(data, path="$") -> Instance:
 def serialize_instance(inst: Instance) -> dict:
     out = {"ring": ring_to_desc(inst.ring)}
     if inst.modules:
-        out["modules"] = {
-            name: {"ambient_rank": m.ambient_rank,
-                   "relations": [[element_to_str(e) for e in r]
-                                 for r in m.relations]}
-            for name, m in inst.modules.items()}
+        out["modules"] = {name: module_data(m)
+                          for name, m in inst.modules.items()}
     if inst.complexes:
         out["complexes"] = {
-            name: {"entries": {str(j): {"ambient_rank": mod.ambient_rank,
-                                        "relations": [[element_to_str(e)
-                                                       for e in r]
-                                                      for r in mod.relations]}
+            name: {"entries": {str(j): module_data(mod)
                                for j, mod in C.entries.items()},
                    "differentials": {str(j): [[element_to_str(e) for e in row]
                                               for row in d.matrix]
@@ -386,20 +382,22 @@ def run_instance(source, overrides: Budgets | None = None,
             with open(source, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as e:
-            raise ParseError(label, f"cannot read: {e}") from None
+            raise ParseError("$", f"cannot read: {e.strerror or e}") from None
         except json.JSONDecodeError as e:
-            raise ParseError(f"{label}:{e.lineno}:{e.colno}", e.msg) from None
+            raise ParseError(f"line {e.lineno}, column {e.colno}",
+                             e.msg) from None
     inst = parse_instance(data)
     budgets = overrides or Budgets()
     digest = canonical_digest(serialize_instance(inst))
     task_reports = []
-    for idx, task in enumerate(inst.tasks):
-        try:
-            out = run_task(inst, task, budgets)
-        except AdicLabError as e:
-            raise TaskError(idx, str(e)) from None
-        out["index"] = idx
-        task_reports.append(out)
+    with memo_scope():
+        for idx, task in enumerate(inst.tasks):
+            try:
+                out = run_task(inst, task, budgets)
+            except AdicLabError as e:
+                raise TaskError(idx, str(e)) from None
+            out["index"] = idx
+            task_reports.append(out)
     severity = EXIT_OK
     for t in task_reports:
         severity = max(severity, _STATUS_SEVERITY.get(t["status"],
@@ -736,6 +734,22 @@ def _run_one(args):
     return run_instance(path, budgets)
 
 
+def _collect(files, results):
+    """Reports in file order from one result thunk per file, or None after
+    naming the first file that failed to parse or run on stderr."""
+    reports = []
+    for path, result in zip(files, results):
+        try:
+            reports.append(result())
+        except ParseError as e:
+            print(f"parse error: {path}: {e}", file=sys.stderr)
+            return None
+        except TaskError as e:
+            print(f"task error: {path}: {e}", file=sys.stderr)
+            return None
+    return reports
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="adiclab",
@@ -788,23 +802,19 @@ def main(argv=None) -> int:
 
     budgets = Budgets(depth=args.precision, stages=args.stages,
                       stab_window=args.window)
-    reports = []
-    try:
-        if args.jobs > 1 and len(args.files) > 1:
-            work = [(path, budgets.as_dict()) for path in args.files]
-            try:
-                with concurrent.futures.ProcessPoolExecutor(
-                        max_workers=args.jobs) as pool:
-                    reports = list(pool.map(_run_one, work))
-            except (OSError, concurrent.futures.process.BrokenProcessPool):
-                reports = [run_instance(p, budgets) for p in args.files]
-        else:
-            reports = [run_instance(p, budgets) for p in args.files]
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except TaskError as e:
-        print(f"task error: {e}", file=sys.stderr)
+    serial = [functools.partial(run_instance, p, budgets) for p in args.files]
+    if args.jobs > 1 and len(args.files) > 1:
+        try:
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=args.jobs) as pool:
+                futures = [pool.submit(_run_one, (p, budgets.as_dict()))
+                           for p in args.files]
+                reports = _collect(args.files, [f.result for f in futures])
+        except (OSError, concurrent.futures.process.BrokenProcessPool):
+            reports = _collect(args.files, serial)
+    else:
+        reports = _collect(args.files, serial)
+    if reports is None:
         return EXIT_USAGE
 
     if len(reports) == 1:

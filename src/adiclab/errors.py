@@ -46,6 +46,10 @@ class ParseError(AdicLabError):
         self.cause = cause
         super().__init__(f"{position}: {cause}")
 
+    def __reduce__(self):
+        # pool workers return errors by pickling them
+        return type(self), (self.position, self.cause)
+
 
 class TaskError(AdicLabError):
     """A task inside an instance file failed; carries the task index."""
@@ -54,6 +58,9 @@ class TaskError(AdicLabError):
         self.index = index
         self.cause = cause
         super().__init__(f"task {index}: {cause}")
+
+    def __reduce__(self):
+        return type(self), (self.index, self.cause)
 
 
 class UnknownProfile(AdicLabError):

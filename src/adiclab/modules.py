@@ -270,6 +270,16 @@ class FPModule:
                 f"{len(self.relations)} relations)")
 
 
+def module_data(M: FPModule) -> dict:
+    """A presentation as instance-file data: coefficient strings, and the
+    grading only when the module has one."""
+    out = {"ambient_rank": M.ambient_rank,
+           "relations": [[element_to_str(e) for e in r] for r in M.relations]}
+    if M.grading is not None:
+        out["grading"] = list(M.grading)
+    return out
+
+
 def free_module(ring: RingSpec, rank: int) -> FPModule:
     return FPModule(ring, rank)
 

@@ -14,14 +14,14 @@ import json
 from dataclasses import dataclass, field
 
 from .adic import (Budgets, DEFAULT_BUDGETS, DecayModule, is_complete,
-                   is_separated, vec_strs)
+                   is_separated, memo_scope, vec_strs)
 from .complexes import (BoundedComplex, ComplexMap, cohomology,
                         complex_from_module, induced_cohomology_map)
 from .derived import ext_localization, is_cohomologically_complete
 from .errors import BudgetExceeded, NonSurjectiveReduction, ParentMismatch
 from .modules import (FPModule, ModuleHom, free_module, hom_is_iso,
-                      identity_hom, kernel_hom, modules_isomorphic,
-                      quotient_module)
+                      identity_hom, kernel_hom, module_data,
+                      modules_isomorphic, quotient_module)
 from .rings import (INTEGERS, POLYNOMIAL, PRIME_FIELD, POWER_SERIES,
                     RingElem, RingMap, RingSpec, apply_ring_map,
                     element_to_str, ring_integers, ring_polynomial,
@@ -85,9 +85,7 @@ def _module_payload(M) -> dict:
         return {"decay_module": {"support": M.support,
                                  "exponents": list(M.exponents),
                                  "ring": ring_to_desc(M.ring)}}
-    return {"ambient_rank": M.ambient_rank,
-            "relations": [vec_strs(r) for r in M.relations],
-            "ring": ring_to_desc(M.ring)}
+    return {**module_data(M), "ring": ring_to_desc(M.ring)}
 
 
 def _complex_payload(C: BoundedComplex) -> dict:
@@ -103,6 +101,7 @@ def _complex_payload(C: BoundedComplex) -> dict:
 # the four theorem checkers
 
 
+@memo_scope()
 def check_theorem2(M: BoundedComplex, gens,
                    budgets: Budgets = DEFAULT_BUDGETS,
                    cohomology_modules: dict | None = None) -> EquivalenceReport:
@@ -139,6 +138,7 @@ def check_theorem2(M: BoundedComplex, gens,
                               "cohomologically_complete": cc}, digest)
 
 
+@memo_scope()
 def check_theorem3(M, ideals, budgets: Budgets = DEFAULT_BUDGETS) -> EquivalenceReport:
     """Cohomological completeness for a sum of ideals against the per-ideal
     checks; the left side analyzes the concatenated ideal directly."""
@@ -265,6 +265,7 @@ def apply_map_to_module(f: RingMap, M: FPModule) -> FPModule:
     return FPModule(f.target, M.ambient_rank, rows)
 
 
+@memo_scope()
 def check_theorem4(M: FPModule, gens, budgets: Budgets = DEFAULT_BUDGETS,
                    transport: bool | None = None) -> EquivalenceReport:
     """Completeness against separatedness plus vanishing localization Ext^1
@@ -331,6 +332,7 @@ def _theorem4_transport(M: FPModule, gens, budgets: Budgets,
     return status
 
 
+@memo_scope()
 def check_lemma1(M, a: RingElem, budgets: Budgets = DEFAULT_BUDGETS) -> EquivalenceReport:
     """Principal case: cohomological completeness (telescope route) against
     joint vanishing of localization Ext^0 and Ext^1 (tower route), plus the
@@ -369,6 +371,7 @@ def check_lemma1(M, a: RingElem, budgets: Budgets = DEFAULT_BUDGETS) -> Equivale
                               "separated_implies_hom_vanishes": part2}, digest)
 
 
+@memo_scope()
 def check_lemma5(f: RingMap, b_index: int, M: FPModule,
                  budgets: Budgets = DEFAULT_BUDGETS,
                  kernel_gens=None) -> EquivalenceReport:
@@ -426,6 +429,7 @@ class Example1Result:
         return self.report[name]
 
 
+@memo_scope()
 def build_example1(support: int, precision: int, base: RingSpec | None = None,
                    budgets: Budgets = DEFAULT_BUDGETS) -> Example1Result:
     """Reconstruct the anomalous module at finite support and precision: a

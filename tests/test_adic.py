@@ -1,10 +1,11 @@
 import pytest
 
+from adiclab import adic
 from adiclab.adic import (Budgets, DecayApprox, DecayModule, chain_profile,
                           completion_tower, ext0_vanishing_tower,
                           ext1_vanishing_tower, fdec_reduce, is_complete,
-                          is_separated, lim_tower, multiplication_tower,
-                          nilpotent_on_module)
+                          is_separated, lim_tower, memo_scope,
+                          multiplication_tower, nilpotent_on_module)
 from adiclab.errors import BudgetExceeded, PrecisionExceeded
 from adiclab.modules import (FPModule, ModuleHom, compose, cyclic_module,
                              free_module, membership, modules_equal,
@@ -286,3 +287,62 @@ def test_tower_window_isomorphisms_from_last_transition():
     T = completion_tower(M, [x], depth=4, budgets=b)
     assert T.stabilization(b) == (3, {"kind": "window_isomorphisms",
                                       "from": 3})
+
+
+# ---------------------------------------------------------------------------
+# memo scope
+
+
+def _graded_pair():
+    """QQ[x,y]^2 / (x, y^2), ungraded and with generator degrees (0, -1):
+    equal as modules, yet only the grading makes (x, y^2) homogeneous."""
+    x, y = QXY.variable("x"), QXY.variable("y")
+    rel = [(x, y ** 2)]
+    return FPModule(QXY, 2, rel), FPModule(QXY, 2, rel, grading=[0, -1]), x
+
+
+def test_chain_profile_memo_keys_on_grading():
+    M, G, x = _graded_pair()
+    assert M == G and hash(M) == hash(G)
+    with memo_scope():
+        for _ in range(2):
+            prof = chain_profile(M, [x])
+            assert (prof.status, prof.certificate["kind"]) == (
+                "unknown", "budget_exhausted")
+            prof = chain_profile(G, [x])
+            assert (prof.status, prof.certificate["kind"]) == (
+                "strict_forever", "graded_nakayama")
+
+
+def test_raised_chain_profile_is_not_memoised(monkeypatch):
+    calls = []
+    original = adic._chain_profile
+
+    def flaky(M, gens, budgets):
+        calls.append(M)
+        if len(calls) == 1:
+            raise BudgetExceeded("first attempt")
+        return original(M, gens, budgets)
+
+    monkeypatch.setattr(adic, "_chain_profile", flaky)
+    M = cyclic_module(ZZ, ZZ.from_int(12))
+    two = [ZZ.from_int(2)]
+    with memo_scope():
+        with pytest.raises(BudgetExceeded):
+            chain_profile(M, two)
+        first = chain_profile(M, two)
+        assert chain_profile(M, two) is first
+    assert len(calls) == 2
+    assert first.status == "stabilized" and first.stabilized_at == 2
+
+
+def test_nested_memo_scopes_share_one_memo():
+    assert adic._MEMO.get() is None
+    with memo_scope():
+        outer = adic._MEMO.get()
+        assert outer == {}
+        with memo_scope():
+            assert adic._MEMO.get() is outer
+            chain_profile(cyclic_module(ZZ, ZZ.from_int(4)), [ZZ.from_int(2)])
+        assert len(adic._MEMO.get()) == 1
+    assert adic._MEMO.get() is None

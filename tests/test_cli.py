@@ -1,15 +1,17 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from adiclab import adic, cli
 from adiclab.cli import (EXIT_INCONSISTENT, EXIT_INDECISIVE, EXIT_OK,
                          EXIT_USAGE, emit_report, generate_instances, main,
                          parse_instance, run_instance, serialize_instance)
-from adiclab.errors import ParseError, UnknownProfile
+from adiclab.errors import ParseError, TaskError, UnknownProfile
 
 
 def z12_instance():
@@ -210,3 +212,74 @@ def test_module_entry_point_writes_nothing_to_stderr():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_errors_survive_pickling():
+    e = pickle.loads(pickle.dumps(ParseError("$.tasks", "bad")))
+    assert (type(e), e.position, e.cause, str(e)) == (
+        ParseError, "$.tasks", "bad", "$.tasks: bad")
+    e = pickle.loads(pickle.dumps(TaskError(3, "boom")))
+    assert (type(e), e.index, e.cause, str(e)) == (
+        TaskError, 3, "boom", "task 3: boom")
+
+
+@pytest.mark.parametrize("jobs, in_process", [("1", 2), ("2", 0)])
+def test_bad_file_in_batch_is_named(tmp_path, capsys, monkeypatch, jobs,
+                                    in_process):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(z12_instance()), encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"ring": {"kind": "integers"}}),
+                   encoding="utf-8")
+    # under --jobs 2 the workers report the error, so the batch is not
+    # rerun in this process
+    calls = []
+    monkeypatch.setattr(cli, "run_instance",
+                        lambda *a: calls.append(a) or run_instance(*a))
+    code = main(["run", str(good), str(bad), str(good), "--jobs", jobs])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (f"parse error: {bad}: $: missing required field "
+                   "'tasks'\n")
+    assert len(calls) == in_process
+
+
+def _graded_instance(grading):
+    data = {
+        "ring": {"kind": "polynomial", "base": {"kind": "rationals"},
+                 "vars": ["x", "y"], "order": "grlex"},
+        "modules": {"M": {"ambient_rank": 2, "relations": [["x", "y^2"]]}},
+        "ideals": {"a": ["x"]},
+        "tasks": [{"command": "check_theorem4", "module": "M",
+                   "ideal": "a"}],
+    }
+    if grading is not None:
+        data["modules"]["M"]["grading"] = grading
+    return data
+
+
+def test_grading_enters_the_digests():
+    plain = run_instance(_graded_instance(None))
+    graded = run_instance(_graded_instance([0, -1]))
+    assert plain["instance_digest"] != graded["instance_digest"]
+    assert (plain["tasks"][0]["instance_digest"]
+            != graded["tasks"][0]["instance_digest"])
+
+
+def test_round_trip_keeps_grading():
+    again = serialize_instance(parse_instance(_graded_instance([0, -1])))
+    assert again["modules"]["M"]["grading"] == [0, -1]
+    assert parse_instance(again).modules["M"].grading == (0, -1)
+    assert "grading" not in serialize_instance(
+        parse_instance(_graded_instance(None)))["modules"]["M"]
+
+
+def test_no_memo_scope_after_run_instance():
+    run_instance(z12_instance())
+    assert adic._MEMO.get() is None
+    data = z12_instance()
+    data["tasks"] = [{"command": "completion_tower", "module": "M",
+                      "ideal": "a", "depth": 1000}]
+    with pytest.raises(TaskError):
+        run_instance(data)
+    assert adic._MEMO.get() is None

@@ -1,9 +1,11 @@
 """Cross-module invariants: adjunction, reduction chains, verdict soundness."""
+import dataclasses
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from adiclab.adic import Budgets, chain_profile, is_complete, is_separated
+from adiclab.adic import (Budgets, chain_profile, is_complete, is_separated,
+                          memo_scope)
 from adiclab.complexes import (BoundedComplex, ComplexMap, cohomology,
                                complex_from_module, hom_complex,
                                tensor_complex)
@@ -335,3 +337,47 @@ def test_smith_form_spans_rows_through_inverse_column_transform(case):
     assert FPModule(ring, cols, [tuple(r) for r in Vinv]).is_zero()
     for i in range(rank - 1):
         assert elem_divstep(D[i + 1][i + 1], D[i][i])[1].is_zero()
+
+
+_MEMO_RINGS = [ZZ, ring_polynomial(QQ, ("x",)), ring_polynomial(QQ, ("x", "y")),
+               ring_polynomial(ring_prime_field(5), ("x", "y")),
+               ring_power_series(QQ, "t", 6)]
+
+
+@st.composite
+def _modules_and_ideals(draw):
+    """Two or three small modules over one ring and two ideals of one or
+    two generators, with monomial entries so the chains stay short."""
+    ring = draw(st.sampled_from(_MEMO_RINGS))
+
+    def element(max_coeff=4):
+        e = ring.from_int(draw(st.integers(-max_coeff, max_coeff)))
+        for v in ring.vars:
+            e = e * ring.variable(v) ** draw(st.integers(0, 2))
+        return e
+
+    def module():
+        rank = draw(st.integers(1, 2))
+        rows = [tuple(element() for _ in range(rank))
+                for _ in range(draw(st.integers(0, 2)))]
+        return FPModule(ring, rank, rows)
+
+    mods = [module() for _ in range(draw(st.integers(2, 3)))]
+    ideals = [[element(3) for _ in range(draw(st.integers(1, 2)))]
+              for _ in range(2)]
+    return mods, ideals
+
+
+@settings(max_examples=60, deadline=None)
+@given(_modules_and_ideals())
+def test_memoised_chain_profiles_equal_fresh_ones(case):
+    mods, ideals = case
+    keys = [(M, gens, Budgets(depth=d)) for M in mods for gens in ideals
+            for d in (1, 4)]
+    fresh = [chain_profile(*key) for key in keys]
+    with memo_scope():
+        for _ in range(2):
+            for key, want in zip(keys, fresh):
+                got = chain_profile(*key)
+                for f in dataclasses.fields(want):
+                    assert getattr(got, f.name) == getattr(want, f.name)
