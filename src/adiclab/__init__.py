@@ -18,9 +18,8 @@ from .rings import (RingElem, RingMap, RingSpec, apply_ring_map, elem_divstep,
                     ring_prime_field, ring_quotient, ring_rationals)
 from .modules import (FPModule, ModuleHom, StdBasis, cyclic_module,
                       free_module, ideal_power_act, image_coker, kernel_hom,
-                      membership, module_is_zero, modules_equal,
-                      modules_isomorphic, quotient_module, std_basis,
-                      zero_module)
+                      module_is_zero, modules_equal, modules_isomorphic,
+                      quotient_module, std_basis, zero_module)
 from .complexes import (BoundedComplex, ComplexMap, cohomology, cone,
                         complex_from_module, hom_complex, is_quasi_iso,
                         shift_complex, smart_truncate, tensor_complex)

@@ -92,7 +92,7 @@ def _canonical_span(M: FPModule, vectors):
 
 def _filter_mod_relations(M: FPModule, vectors):
     rb = M.relations_basis()
-    return [M.normal_form(v) for v in vectors if not rb.contains(v)[0]]
+    return [M.normal_form(v) for v in vectors if not rb.contains(v)]
 
 
 def _elem_gcd(ring: RingSpec, elems):
@@ -733,7 +733,7 @@ def _decay_separated(M: DecayModule, gens, budgets: Budgets) -> Verdict:
         power = gname ** j
         shifted = tuple(power * e for e in u)
         finite_part = tuple(a - b for a, b in zip(m, shifted))
-        ok = avatar.relations_basis().contains(finite_part)[0]
+        ok = avatar.relations_basis().contains(finite_part)
         if not ok:
             return verdicts.unknown(budget)
         memberships.append(j)

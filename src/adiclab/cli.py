@@ -810,7 +810,8 @@ def main(argv=None) -> int:
                 futures = [pool.submit(_run_one, (p, budgets.as_dict()))
                            for p in args.files]
                 reports = _collect(args.files, [f.result for f in futures])
-        except (OSError, concurrent.futures.process.BrokenProcessPool):
+        except (OSError, concurrent.futures.process.BrokenProcessPool) as e:
+            print(f"process pool: {e!r}; running serially", file=sys.stderr)
             reports = _collect(args.files, serial)
     else:
         reports = _collect(args.files, serial)

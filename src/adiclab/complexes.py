@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidComplex, NotFree, ParentMismatch
-from .modules import (FPModule, ModuleHom, compose, direct_sum_module,
-                      free_module, identity_hom, kernel_hom,
-                      quotient_module, std_basis,
+from .modules import (FPModule, ModuleHom, compose, coordinates,
+                      direct_sum_module, free_module, identity_hom,
+                      kernel_hom, quotient_module,
                       syzygies_with_relations, vec_is_zero,
                       zero_hom, zero_module)
 from .rings import RingSpec
@@ -254,15 +254,11 @@ def smart_truncate(C: BoundedComplex, j: int):
         # factor d^(k-1) through the kernel
         dkm1 = C.differential(k - 1)
         src = C.entry(k - 1)
-        cols = []
-        target_rels = list(C.entry(k).relations)
-        sb = std_basis(kgens + target_rels, ring,
-                       ambient_rank=C.entry(k).ambient_rank)
-        for t in range(src.ambient_rank):
-            ok, wit = sb.contains(dkm1.column(t))
-            if not ok:
-                raise InvalidComplex("image of d^(k-1) not inside ker d^k")
-            cols.append(wit[:len(kgens)])
+        cols = coordinates([dkm1.column(t) for t in range(src.ambient_rank)],
+                           kgens, C.entry(k).relations, ring,
+                           C.entry(k).ambient_rank)
+        if None in cols:
+            raise InvalidComplex("image of d^(k-1) not inside ker d^k")
         mat = [[cols[t][r] for t in range(src.ambient_rank)]
                for r in range(len(kgens))]
         if k in entries:
@@ -517,17 +513,12 @@ def induced_cohomology_map(phi: ComplexMap, j: int) -> ModuleHom:
     HC = phi.source.cohomology_data(j)
     HD = phi.target.cohomology_data(j)
     f = phi.component(j)
-    gens = list(HD.gens)
-    bucket = list(HD.reducers)
-    sb = std_basis(gens + bucket, phi.target.ring,
-                   ambient_rank=phi.target.entry(j).ambient_rank)
-    cols = []
-    for k in HC.gens:
-        ok, wit = sb.contains(f.apply(k))
-        if not ok:
-            raise InvalidComplex("chain map does not preserve cocycles")
-        cols.append(wit[:len(gens)])
-    mat = [[cols[t][r] for t in range(len(HC.gens))] for r in range(len(gens))]
+    cols = coordinates([f.apply(k) for k in HC.gens], HD.gens, HD.reducers,
+                       phi.target.ring, phi.target.entry(j).ambient_rank)
+    if None in cols:
+        raise InvalidComplex("chain map does not preserve cocycles")
+    mat = [[cols[t][r] for t in range(len(HC.gens))]
+           for r in range(len(HD.gens))]
     return ModuleHom(HC.module, HD.module, mat, check=False)
 
 

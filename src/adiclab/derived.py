@@ -205,8 +205,8 @@ def _telescope_ext(a: RingElem, M: FPModule, budgets: Budgets):
                      ambient_rank=P.ambient_rank)
     sb_r = std_basis(rho_cols + list(P.relations), ring,
                      ambient_rank=P.ambient_rank)
-    pattern = all(sb_a.contains(c)[0] for c in rho_cols) and \
-        all(sb_r.contains(c)[0] for c in a_cols)
+    pattern = all(sb_a.contains(c) for c in rho_cols) and \
+        all(sb_r.contains(c) for c in a_cols)
     details["restriction_is_multiplication"] = pattern
     if not (support_ok and pattern):
         return stage_vals, None, details
@@ -452,8 +452,8 @@ def koszul_route_cc(M: FPModule, a: RingElem,
         span_j = std_basis(gens_j + list(M.relations), ring,
                            ambient_rank=M.ambient_rank)
         if prev is not None:
-            stable = all(span_j.contains(g)[0] for g in prev[1]) and \
-                all(prev[0].contains(g)[0] for g in gens_j)
+            stable = all(span_j.contains(g) for g in prev[1]) and \
+                all(prev[0].contains(g) for g in gens_j)
             if stable:
                 ann_stable = j - 1
                 break

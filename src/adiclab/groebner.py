@@ -1,13 +1,14 @@
-"""Canonical bases for submodules of free modules, with witness tracking.
+"""Canonical bases for submodules of free modules.
 
 One engine covers every computable coefficient situation the workbench
 needs: classic Buchberger over field scalars, strong (S- and G-polynomial)
 Buchberger over the integers, and the degenerate zero-variable case, which
 amounts to Hermite-style row reduction.  Free-module terms are ordered
-position-over-term, so the same run performs elimination: input rows are
+position-over-term, so a tagged run performs elimination: input rows are
 tagged with unit vectors in a trailing block of positions, rows whose
 leading block vanishes are syzygies of the inputs, and reductions accumulate
-membership witnesses.
+membership witnesses.  Tags make completion compute every syzygy of the
+inputs, so callers ask for them only to read syzygies or witnesses.
 
 One reduction loop serves completion, normal forms and witnesses.
 Completion and inter-reduction reduce every position; normal forms and

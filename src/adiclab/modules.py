@@ -113,51 +113,49 @@ def vec_is_zero(v) -> bool:
 # standard bases
 
 
+def _engine_basis(ring: RingSpec, ambient: int, vectors, want_tags: bool):
+    """Engine basis of the vectors plus the ring's structural relations."""
+    vectors = [tuple(v) for v in vectors]
+    for v in vectors:
+        if len(v) != ambient:
+            raise ParentMismatch("generator rank mismatch")
+        for e in v:
+            if e.ring != ring:
+                raise ParentMismatch("generator entry outside the ring")
+    w = work_ring(ring)
+    rows = [_vec_to_dict(v) for v in work_rows(ring, ambient, vectors)]
+    return ModuleBasis(rows, npos=ambient, nvars=w.nvars,
+                       domain=scalar_domain(w), mono_key=w.mono_key,
+                       want_tags=want_tags)
+
+
+def _query_row(ring: RingSpec, ambient: int, vec) -> dict:
+    if len(vec) != ambient:
+        raise ParentMismatch("vector rank mismatch")
+    return _vec_to_dict(tuple(lift_elem(ring, e) for e in vec))
+
+
 class StdBasis:
-    """Canonical basis with syzygies for a submodule of a free module."""
+    """Canonical basis of a submodule, for membership and normal forms."""
 
     def __init__(self, ring: RingSpec, ambient_rank: int, gens):
         self.ring = ring
         self.ambient_rank = ambient_rank
-        gens = [tuple(g) for g in gens]
-        for g in gens:
-            if len(g) != ambient_rank:
-                raise ParentMismatch("generator rank mismatch")
-            for e in g:
-                if e.ring != ring:
-                    raise ParentMismatch("generator entry outside the ring")
-        self._ngens = len(gens)
-        w = work_ring(ring)
-        rows = [_vec_to_dict(v) for v in work_rows(ring, ambient_rank, gens)]
-        self._mb = ModuleBasis(rows, npos=ambient_rank, nvars=w.nvars,
-                               domain=scalar_domain(w), mono_key=w.mono_key)
+        self._mb = _engine_basis(ring, ambient_rank, gens, want_tags=False)
         self.generators = tuple(
             v for v in (
                 _dict_to_vec(row, ambient_rank, ring)
                 for row in self._mb.generators())
             if not vec_is_zero(v))
-        syz = []
-        for row in self._mb.syzygies():
-            vec = _dict_to_vec(row, self._ngens, ring)
-            if not vec_is_zero(vec):
-                syz.append(vec)
-        self.syzygies = tuple(syz)
 
-    def contains(self, vec):
-        """(member?, witness) with vec = sum witness_i * gens_i over the ring."""
-        if len(vec) != self.ambient_rank:
-            raise ParentMismatch("vector rank mismatch")
-        lifted = tuple(lift_elem(self.ring, e) for e in vec)
-        ok, wit = self._mb.contains(_vec_to_dict(lifted))
-        if not ok:
-            return False, None
-        witness = _dict_to_vec(wit, self._ngens, self.ring)
-        return True, witness
+    def contains(self, vec) -> bool:
+        """True when vec lies in the span."""
+        return self._mb.contains(
+            _query_row(self.ring, self.ambient_rank, vec))[0]
 
     def normal_form(self, vec):
         """Canonical representative of vec modulo the span."""
-        lifted = tuple(lift_elem(self.ring, e) for e in vec)
-        nf = self._mb.normal_form(_vec_to_dict(lifted))
+        nf = self._mb.normal_form(_query_row(self.ring, self.ambient_rank, vec))
         return _dict_to_vec(nf, self.ambient_rank, self.ring)
 
 
@@ -168,21 +166,35 @@ def std_basis(gens, ring: RingSpec, ambient_rank: int | None = None) -> StdBasis
     return StdBasis(ring, ambient_rank, gens)
 
 
+def _tagged_basis(gens, relations, ring: RingSpec, ambient: int) -> ModuleBasis:
+    """Engine basis of gens then relations, tagged with the combinations."""
+    return _engine_basis(ring, ambient, [*gens, *relations], want_tags=True)
+
+
 def syzygies_with_relations(gens, relations, ring: RingSpec, ambient: int):
     """Generators of {z : sum z_i g_i lies in the span of the relations}."""
-    basis = StdBasis(ring, ambient, list(gens) + list(relations))
+    basis = _tagged_basis(gens, relations, ring, ambient)
     k = len(gens)
     out = []
     seen = set()
-    for row in basis.syzygies:
-        vec = row[:k]
-        if vec_is_zero(vec):
-            continue
+    for row in basis.syzygies():
+        vec = _dict_to_vec(row, k, ring)
         key = tuple(e._sorted_key() for e in vec)
-        if key in seen:
+        if vec_is_zero(vec) or key in seen:
             continue
         seen.add(key)
         out.append(vec)
+    return out
+
+
+def coordinates(vectors, gens, relations, ring: RingSpec, ambient: int):
+    """Per vector v, coefficients c with v - sum c_i gens_i in the span of
+    the relations, or None when v is not in the span of gens and relations."""
+    basis = _tagged_basis(gens, relations, ring, ambient)
+    out = []
+    for v in vectors:
+        ok, witness = basis.contains(_query_row(ring, ambient, v))
+        out.append(_dict_to_vec(witness, len(gens), ring) if ok else None)
     return out
 
 
@@ -231,7 +243,7 @@ class FPModule:
 
     def is_zero(self) -> bool:
         rb = self.relations_basis()
-        return all(rb.contains(unit_vector(self.ring, self.ambient_rank, i))[0]
+        return all(rb.contains(unit_vector(self.ring, self.ambient_rank, i))
                    for i in range(self.ambient_rank))
 
     def is_free_presentation(self) -> bool:
@@ -324,8 +336,8 @@ def modules_equal(M: FPModule, N: FPModule) -> bool:
     if M.ring != N.ring or M.ambient_rank != N.ambient_rank:
         return False
     mb, nb = M.relations_basis(), N.relations_basis()
-    return (all(nb.contains(r)[0] for r in M.relations)
-            and all(mb.contains(r)[0] for r in N.relations))
+    return (all(nb.contains(r) for r in M.relations)
+            and all(mb.contains(r) for r in N.relations))
 
 
 def module_is_zero(M: FPModule) -> bool:
@@ -357,7 +369,7 @@ class ModuleHom:
         if check:
             tb = target.relations_basis()
             for r in source.relations:
-                if not tb.contains(self.apply(r))[0]:
+                if not tb.contains(self.apply(r)):
                     raise ParentMismatch(
                         "matrix does not map source relations into target relations")
 
@@ -381,7 +393,7 @@ class ModuleHom:
 
     def is_zero_hom(self) -> bool:
         tb = self.target.relations_basis()
-        return all(tb.contains(self.column(j))[0]
+        return all(tb.contains(self.column(j))
                    for j in range(self.source.ambient_rank))
 
     def __eq__(self, other):
@@ -449,7 +461,7 @@ def kernel_hom(f: ModuleHom):
     cols = [f.column(j) for j in range(M.ambient_rank)]
     raw = syzygies_with_relations(cols, N.relations, M.ring, N.ambient_rank)
     mb = M.relations_basis()
-    gens = [g for g in raw if not mb.contains(g)[0]]
+    gens = [g for g in raw if not mb.contains(g)]
     gens = [mb.normal_form(g) for g in gens]
     seen, kept = set(), []
     for g in gens:
@@ -472,17 +484,12 @@ def image_coker(f: ModuleHom):
     nb = N.relations_basis()
     kept = []
     for c in cols:
-        if not nb.contains(c)[0]:
+        if not nb.contains(c):
             kept.append(nb.normal_form(c))
     image = submodule_presentation(kept, N)
     coker = quotient_module(N, cols)
     proj = ModuleHom(N, coker, identity_hom(N).matrix, check=False)
     return image, coker, proj
-
-
-def membership(elem, sub: StdBasis):
-    """(member?, witness coefficients over the basis generators)."""
-    return sub.contains(elem)
 
 
 def hom_is_injective(f: ModuleHom) -> bool:
@@ -546,7 +553,7 @@ def ideal_power_act(a_list, k: int, M: FPModule,
         if prev_gens is not None and stabilized is None:
             basis = StdBasis(M.ring, M.ambient_rank,
                              list(gens) + list(M.relations))
-            if all(basis.contains(g)[0] for g in prev_gens):
+            if all(basis.contains(g) for g in prev_gens):
                 stabilized = j - 1
         prev_gens = gens
     sub = submodule_presentation(gens, M)

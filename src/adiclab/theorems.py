@@ -461,7 +461,7 @@ def build_example1(support: int, precision: int, base: RingSpec | None = None,
             u[i] = t ** (i - j)
         shifted = tuple((t ** j) * e for e in u)
         finite = tuple(a - b for a, b in zip(m, shifted))
-        ok = rb.contains(finite)[0] if j else True
+        ok = rb.contains(finite) if j else True
         ok_all = ok_all and ok
         if ok:
             memberships.append(j)

@@ -1,9 +1,9 @@
+import concurrent.futures
+import hashlib
 import json
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -130,7 +130,7 @@ def test_machine_report_deterministic_and_text_renders():
     assert machine["wall_clock_ms"] is None
 
 
-def test_jobs_byte_identical(tmp_path):
+def test_jobs_byte_identical(tmp_path, child_env):
     files = []
     for i, data in enumerate(generate_instances(5, 3, "pid")):
         f = tmp_path / f"i{i}.json"
@@ -140,7 +140,8 @@ def test_jobs_byte_identical(tmp_path):
     def run_with_jobs(jobs):
         cmd = [sys.executable, "-m", "adiclab.cli", "run", *files,
                "--format", "machine", "--jobs", str(jobs)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              env=child_env)
         return proc.stdout
 
     out1 = run_with_jobs(1)
@@ -203,13 +204,10 @@ def test_malformed_numeric_field_is_parse_error(tmp_path, capsys, data,
     assert position in capsys.readouterr().err
 
 
-def test_module_entry_point_writes_nothing_to_stderr():
-    import adiclab
-    src = str(Path(adiclab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+def test_module_entry_point_writes_nothing_to_stderr(child_env):
     proc = subprocess.run([sys.executable, "-m", "adiclab.cli", "generate",
                            "--seed", "1", "--count", "1", "--profile", "pid"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert proc.stderr == ""
 
@@ -242,6 +240,50 @@ def test_bad_file_in_batch_is_named(tmp_path, capsys, monkeypatch, jobs,
     assert err == (f"parse error: {bad}: $: missing required field "
                    "'tasks'\n")
     assert len(calls) == in_process
+
+
+class _BrokenPool:
+    """A process pool whose workers die: every future raises."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_exception(
+            concurrent.futures.process.BrokenProcessPool("a worker died"))
+        return future
+
+
+def _no_pool(max_workers):
+    raise OSError(38, "Function not implemented")
+
+
+@pytest.mark.parametrize("pool, cause", [
+    (_BrokenPool, "BrokenProcessPool('a worker died')"),
+    (_no_pool, "OSError(38, 'Function not implemented')"),
+])
+def test_failed_pool_reruns_serially_and_says_so(tmp_path, capsys,
+                                                monkeypatch, pool, cause):
+    files = []
+    for i in range(2):
+        f = tmp_path / f"z12_{i}.json"
+        f.write_text(json.dumps(z12_instance()), encoding="utf-8")
+        files.append(str(f))
+    serial_code = main(["run", *files, "--format", "machine", "--jobs", "1"])
+    serial = capsys.readouterr()
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", pool)
+    code = main(["run", *files, "--format", "machine", "--jobs", "2"])
+    fallback = capsys.readouterr()
+    assert (code, fallback.out) == (serial_code, serial.out)
+    assert serial.err == ""
+    assert fallback.err == f"process pool: {cause}; running serially\n"
 
 
 def _graded_instance(grading):
@@ -283,3 +325,19 @@ def test_no_memo_scope_after_run_instance():
     with pytest.raises(TaskError):
         run_instance(data)
     assert adic._MEMO.get() is None
+
+
+# The machine reports of a small fixed corpus, hashed.  A change that must
+# not alter results (a refactor, a faster Groebner core) keeps this digest;
+# one that alters results on purpose records the new digest with a reason.
+PINNED_CORPUS = (("pid", 10), ("mixed", 10), ("lemma5", 10), ("theorem3", 2))
+PINNED_SHA256 = \
+    "a2cdc10e25d88be9cf624cadfd7fcca916faf79b44d627de8d43023f8105d492"
+
+
+def test_machine_report_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for profile, count in PINNED_CORPUS:
+        for data in generate_instances(1, count, profile):
+            digest.update(emit_report(run_instance(data), "machine").encode())
+    assert digest.hexdigest() == PINNED_SHA256

@@ -12,9 +12,10 @@ from adiclab.complexes import (BoundedComplex, ComplexMap, cohomology,
 from adiclab.derived import is_cohomologically_complete, telescope_stage
 from adiclab.groebner import ModuleBasis
 from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec, _vec_to_dict,
-                             cyclic_module, free_module, membership,
-                             modules_equal, modules_isomorphic, std_basis,
-                             vec_add, vec_scale)
+                             coordinates, cyclic_module, free_module,
+                             lift_elem, modules_equal, modules_isomorphic,
+                             std_basis, vec_add, vec_scale, work_ring,
+                             work_rows, zero_vector)
 from adiclab.rings import (elem_divstep, parse_element, ring_integers,
                            ring_polynomial, ring_prime_field,
                            ring_power_series, ring_rationals, scalar_domain)
@@ -218,17 +219,17 @@ def test_fails_witnesses_recheck():
     v = is_separated(M, [ZZ.from_int(2)], B)
     assert v.fails()
     w = tuple(parse_element(ZZ, s) for s in v.witness["element"])
-    assert not M.relations_basis().contains(w)[0]
+    assert not M.relations_basis().contains(w)
     for k in range(1, B.depth):
         gens = [(ZZ.from_int(2 ** k),), (ZZ.from_int(12),)]
-        assert std_basis(gens, ZZ).contains(w)[0]
+        assert std_basis(gens, ZZ).contains(w)
 
     N = FPModule(ZZ, 2, [(ZZ.from_int(0), ZZ.from_int(3))])
     v2 = is_complete(N, [ZZ.from_int(2)], B)
     assert v2.fails()
     assert v2.witness["kind"] == "completion_kernel"
     w2 = tuple(parse_element(ZZ, s) for s in v2.witness["element"])
-    assert not N.relations_basis().contains(w2)[0]
+    assert not N.relations_basis().contains(w2)
 
 
 def test_example1_budget_stability():
@@ -300,6 +301,74 @@ def test_one_reduction_loop_normal_forms_and_witnesses(case):
     for r in rows:
         assert mb.contains(_vec_to_dict(r))[0]
         assert mb.normal_form(_vec_to_dict(r)) == {}
+
+
+_TAG_RINGS = [ZZ, ring_polynomial(QQ, ("x", "y")),
+              ring_polynomial(ring_prime_field(5), ("x", "y")),
+              ring_power_series(QQ, "t", 8)]
+
+
+@st.composite
+def _gens_relations_vectors(draw):
+    """Generators and relations over ZZ, QQ[x,y], GF(5)[x,y] or
+    QQ[[t]]/t^8 in 1-2 positions, one random vector and one combination of
+    the generators and relations."""
+    ring = draw(st.sampled_from(_TAG_RINGS))
+    npos = draw(st.integers(1, 2))
+
+    def element():
+        e = ring.zero()
+        for _ in range(draw(st.integers(0, 2))):
+            term = ring.from_int(draw(st.integers(-3, 3)))
+            for v in ring.vars:
+                term = term * ring.variable(v) ** draw(st.integers(0, 2))
+            e = e + term
+        return e
+
+    def vector():
+        return tuple(element() for _ in range(npos))
+
+    gens = [vector() for _ in range(draw(st.integers(1, 2)))]
+    rels = [vector() for _ in range(draw(st.integers(0, 1)))]
+    combo = zero_vector(ring, npos)
+    for g in gens + rels:
+        combo = vec_add(combo, vec_scale(g, element()))
+    return ring, npos, gens, rels, [vector(), combo]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gens_relations_vectors())
+def test_tagless_basis_agrees_with_tagged(case):
+    ring, npos, gens, rels, vectors = case
+    w = work_ring(ring)
+    rows = [_vec_to_dict(v) for v in work_rows(ring, npos, gens + rels)]
+    tagged, tagless = (
+        ModuleBasis(rows, npos=npos, nvars=w.nvars, domain=scalar_domain(w),
+                    mono_key=w.mono_key, want_tags=tags)
+        for tags in (True, False))
+    assert tagged.generators() == tagless.generators()
+    for v in vectors:
+        d = _vec_to_dict(tuple(lift_elem(ring, e) for e in v))
+        assert tagged.normal_form(d) == tagless.normal_form(d)
+        assert tagged.contains(d)[0] == tagless.contains(d)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gens_relations_vectors())
+def test_coordinates_are_sound(case):
+    ring, npos, gens, rels, vectors = case
+    span = std_basis(gens + rels, ring, npos)
+    rel_span = std_basis(rels, ring, npos)
+    got = coordinates(vectors, gens, rels, ring, npos)
+    assert got[1] is not None
+    for v, c in zip(vectors, got):
+        assert (c is None) == (not span.contains(v))
+        if c is None:
+            continue
+        residual = v
+        for ci, g in zip(c, gens):
+            residual = vec_add(residual, vec_scale(g, -ci))
+        assert rel_span.contains(residual)
 
 
 @st.composite

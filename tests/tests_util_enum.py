@@ -50,7 +50,7 @@ def check_middle_exactness(phi, cn):
             for t, c in enumerate(v):
                 g = HD.gens[t]
                 amb = [a + c * b for a, b in zip(amb, g)]
-            in_ker = sb.contains(to_cone(amb))[0]
+            in_ker = sb.contains(to_cone(amb))
             in_img = tuple(e._sorted_key()
                            for e in HD.module.normal_form(v)) in img_f
             if in_ker != in_img:
