@@ -32,7 +32,7 @@ from .modules import (FPModule, ModuleHom, euclidean_capable, free_module,
                       hom_is_iso, ideal_power_gens, identity_hom,
                       kernel_hom, lift_elem, lower_elem, quotient_module,
                       std_basis, submodule_presentation, unit_vector,
-                      work_ring, work_rows, zero_module)
+                      vec_is_zero, work_ring, work_rows, zero_module)
 from .rings import (POLYNOMIAL, POWER_SERIES, RingElem, RingSpec,
                     elem_divstep, element_to_str, scalar_domain)
 from .smith import smith_normal_form
@@ -91,8 +91,7 @@ def _canonical_span(M: FPModule, vectors):
 
 
 def _filter_mod_relations(M: FPModule, vectors):
-    rb = M.relations_basis()
-    return [M.normal_form(v) for v in vectors if not rb.contains(v)]
+    return [v for v in map(M.normal_form, vectors) if not vec_is_zero(v)]
 
 
 def _elem_gcd(ring: RingSpec, elems):

@@ -810,6 +810,9 @@ def main(argv=None) -> int:
                 futures = [pool.submit(_run_one, (p, budgets.as_dict()))
                            for p in args.files]
                 reports = _collect(args.files, [f.result for f in futures])
+                if reports is None:
+                    # the batch has failed: start no more of its files
+                    pool.shutdown(cancel_futures=True)
         except (OSError, concurrent.futures.process.BrokenProcessPool) as e:
             print(f"process pool: {e!r}; running serially", file=sys.stderr)
             reports = _collect(args.files, serial)

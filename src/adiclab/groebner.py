@@ -16,6 +16,12 @@ witnesses stop at the leading block.  Both give the same leading-block
 result, because a row whose leading term lies in the tag block has all of
 its terms there.
 
+Each row's leading term is computed once, when the row joins the basis, and
+kept next to it (`leads`).  Reducers are found through an index of leading
+terms bucketed by position: completion grows one index as it appends rows,
+canonicalization builds one over the rows it keeps, and the finished basis
+builds one (`index`) that every normal form and witness query reuses.
+
 The engine works on raw term dicts {(position, exponents): scalar} so that
 it stays independent of the ring layer.
 """
@@ -56,6 +62,20 @@ def _add_into(target: dict, addition: dict, domain) -> None:
             target[key] = s
 
 
+def _index_row(index: dict, lead, row) -> None:
+    """File row under the position of its leading term."""
+    (pos, e), c = lead
+    index.setdefault(pos, []).append((e, c, row))
+
+
+def _build_index(leads, rows) -> dict:
+    """Leading terms bucketed by position, for the reduction hot path."""
+    index: dict = {}
+    for lead, row in zip(leads, rows):
+        _index_row(index, lead, row)
+    return index
+
+
 class ModuleBasis:
     """Canonical basis of the span of `rows` inside positions 0..npos-1.
 
@@ -80,10 +100,12 @@ class ModuleBasis:
                 r[key] = domain.add(r.get(key, domain.zero), domain.one)
             if r:
                 tagged.append(r)
-        self.rows = self._saturate(tagged)
-        self._canonicalize()
-        self.basis = [r for r in self.rows if self._lt(r)[0][0] < npos]
-        self._syzygy_rows = [r for r in self.rows if self._lt(r)[0][0] >= npos]
+        self.rows, self.leads = self._canonicalize(*self._saturate(tagged))
+        self.index = _build_index(self.leads, self.rows)
+        self.basis = [r for r, ((pos, _), _) in zip(self.rows, self.leads)
+                      if pos < npos]
+        self._syzygy_rows = [r for r, ((pos, _), _) in
+                             zip(self.rows, self.leads) if pos >= npos]
 
     # -- term order ----------------------------------------------------------
 
@@ -109,16 +131,9 @@ class ModuleBasis:
                 return g, exps_sub(e, ge), q
         return None
 
-    def _row_index(self, rows):
-        """Leading terms bucketed by position, for the reduction hot path."""
-        index: dict = {}
-        for g in rows:
-            (gpos, ge), gc = self._lt(g)
-            index.setdefault(gpos, []).append((ge, gc, g))
-        return index
-
-    def _reduce(self, v: dict, rows, bound=None) -> dict:
-        """Reduce v by rows, term by term from the top of the order.
+    def _reduce(self, v: dict, index, bound=None) -> dict:
+        """Reduce v by the rows of index, term by term from the top of the
+        order.
 
         Only terms at positions below bound are reduced (every position when
         bound is None); the rest are carried along, so with bound npos the
@@ -126,15 +141,18 @@ class ModuleBasis:
         """
         dom = self.domain
         v = {k: c for k, c in v.items() if c != dom.zero}
-        index = self._row_index(rows)
+        term_keys = {}  # of the terms met in this call
         done = set()
         while True:
-            best = None
+            best = best_k = None
             for key in v:
                 if key in done or (bound is not None and key[0] >= bound):
                     continue
-                if best is None or self._term_key(key) > self._term_key(best):
-                    best = key
+                k = term_keys.get(key)
+                if k is None:
+                    k = term_keys[key] = self._term_key(key)
+                if best is None or k > best_k:
+                    best, best_k = key, k
             if best is None:
                 return v
             hit = self._reducer_step(index, best, v[best])
@@ -147,18 +165,26 @@ class ModuleBasis:
     # -- completion ------------------------------------------------------------
 
     def _saturate(self, rows):
+        """(rows, leading terms) of a Groebner basis of the span of rows."""
         dom = self.domain
-        basis = []
+        basis, leads, index = [], [], {}
+
+        def append(row):
+            lead = self._lt(row)
+            basis.append(row)
+            leads.append(lead)
+            _index_row(index, lead, row)
+
         for r in rows:
-            nf = self._reduce(r, basis)
+            nf = self._reduce(r, index)
             if nf:
-                basis.append(nf)
+                append(nf)
         heap: list = []
 
         def push_pairs(k):
-            (pk, ek), _ = self._lt(basis[k])
+            (pk, ek), _ = leads[k]
             for i in range(k):
-                (pi, ei), _ = self._lt(basis[i])
+                (pi, ei), _ = leads[i]
                 if pi != pk:
                     continue
                 lcm = exps_lcm(ei, ek)
@@ -169,8 +195,8 @@ class ModuleBasis:
         while heap:
             _, _, i, j = heapq.heappop(heap)
             f, g = basis[i], basis[j]
-            (pf, ef), cf = self._lt(f)
-            (pg, eg), cg = self._lt(g)
+            (_, ef), cf = leads[i]
+            (_, eg), cg = leads[j]
             lcm = exps_lcm(ef, eg)
             mf, mg = exps_sub(lcm, ef), exps_sub(lcm, eg)
             candidates = []
@@ -195,28 +221,31 @@ class ModuleBasis:
                     _add_into(t, _scale_shift(g, tc, mg, dom), dom)
                     candidates.append(t)
             for cand in candidates:
-                nf = self._reduce(cand, basis)
+                nf = self._reduce(cand, index)
                 if not nf:
                     continue
-                basis.append(nf)
+                append(nf)
                 push_pairs(len(basis) - 1)
-        return basis
+        return basis, leads
 
     # -- canonical form ----------------------------------------------------------
 
-    def _canonicalize(self):
+    def _canonicalize(self, rows, leads):
+        """(rows, leading terms) of the reduced basis, leading terms in
+        descending order."""
         dom = self.domain
         # minimalize: drop rows whose leading term is strongly divisible by
         # another row's leading term
-        rows = sorted(self.rows, key=lambda r: self._term_key(self._lt(r)[0]))
+        order = sorted(range(len(rows)),
+                       key=lambda i: self._term_key(leads[i][0]))
+        rows = [rows[i] for i in order]
+        leads = [leads[i] for i in order]
         keep = []
-        for idx, r in enumerate(rows):
-            (pos, e), c = self._lt(r)
+        for idx, ((pos, e), c) in enumerate(leads):
             redundant = False
-            for jdx, s in enumerate(rows):
+            for jdx, ((pos2, e2), c2) in enumerate(leads):
                 if jdx == idx:
                     continue
-                (pos2, e2), c2 = self._lt(s)
                 if pos2 != pos or not exps_divides(e2, e):
                     continue
                 q, rem = dom.divstep(c, c2)
@@ -228,23 +257,24 @@ class ModuleBasis:
                 redundant = True
                 break
             if not redundant:
-                keep.append(r)
-        # inter-reduce tails and normalize leading units
+                keep.append(idx)
+        # inter-reduce tails and normalize leading units; a row's own
+        # leading term divides none of its tail terms, so one index over
+        # every kept row serves each tail
+        index = _build_index([leads[i] for i in keep], [rows[i] for i in keep])
         reduced = []
-        for idx, r in enumerate(keep):
-            others = keep[:idx] + keep[idx + 1:]
-            (key, c) = self._lt(r)
-            tail = dict(r)
+        for idx in keep:
+            key, c = leads[idx]
+            tail = dict(rows[idx])
             tail.pop(key)
-            nf_tail = self._reduce(tail, others)
-            row = dict(nf_tail)
-            row[key] = dom.add(row.get(key, dom.zero), c)
-            u = dom.normalizer(row[key])
+            row = self._reduce(tail, index)
+            row[key] = c
+            u = dom.normalizer(c)
             if u != dom.one:
                 row = {k: dom.mul(v, u) for k, v in row.items()}
-            reduced.append(row)
-        reduced.sort(key=lambda r: self._term_key(self._lt(r)[0]), reverse=True)
-        self.rows = reduced
+            reduced.append((row, (key, row[key])))
+        reduced.sort(key=lambda p: self._term_key(p[1][0]), reverse=True)
+        return [r for r, _ in reduced], [lead for _, lead in reduced]
 
     # -- public queries ----------------------------------------------------------
 
@@ -263,7 +293,7 @@ class ModuleBasis:
 
     def normal_form(self, v: dict) -> dict:
         """Canonical normal form of a leading-block vector."""
-        nf = self._reduce(v, self.rows, self.npos)
+        nf = self._reduce(v, self.index, self.npos)
         return {k: c for k, c in nf.items() if k[0] < self.npos}
 
     def reduce_with_witness(self, v: dict):
@@ -274,7 +304,7 @@ class ModuleBasis:
         """
         dom = self.domain
         nf, witness = {}, {}
-        for (pos, e), c in self._reduce(v, self.rows, self.npos).items():
+        for (pos, e), c in self._reduce(v, self.index, self.npos).items():
             if pos < self.npos:
                 nf[(pos, e)] = c
             else:

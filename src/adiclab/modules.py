@@ -48,19 +48,26 @@ def lower_elem(ring: RingSpec, e: RingElem) -> RingElem:
     return RingElem(ring, dict(e.terms))
 
 
+def _structural_terms(ring: RingSpec):
+    """Term dicts over the work ring of the elements that kill every ambient
+    coordinate by ring structure: t^N for truncated power series, the ideal
+    generators for quotients."""
+    if ring.kind == POWER_SERIES:
+        return [{(ring.precision,): scalar_domain(ring).one}]
+    if ring.kind == QUOTIENT:
+        return [g.terms for g in ring.ideal_gens]
+    return []
+
+
 def work_rows(ring: RingSpec, ambient: int, vectors):
     """The vectors lifted to the work ring, followed by the relation rows
     every ambient coordinate carries by ring structure."""
     w = work_ring(ring)
     rows = [tuple(lift_elem(ring, e) for e in v) for v in vectors]
-    if ring.kind == POWER_SERIES:
-        tN = w.variable(ring.vars[0]) ** ring.precision
+    for terms in _structural_terms(ring):
+        g = RingElem(w, terms)
         for i in range(ambient):
-            rows.append(tuple(tN if j == i else w.zero() for j in range(ambient)))
-    elif ring.kind == QUOTIENT:
-        for g in ring.ideal_gens:
-            for i in range(ambient):
-                rows.append(tuple(g if j == i else w.zero() for j in range(ambient)))
+            rows.append(tuple(g if j == i else w.zero() for j in range(ambient)))
     return rows
 
 
@@ -122,8 +129,13 @@ def _engine_basis(ring: RingSpec, ambient: int, vectors, want_tags: bool):
         for e in v:
             if e.ring != ring:
                 raise ParentMismatch("generator entry outside the ring")
+    # the work ring holds the same term dicts as the ring, so entries are
+    # read directly instead of through work_rows
     w = work_ring(ring)
-    rows = [_vec_to_dict(v) for v in work_rows(ring, ambient, vectors)]
+    rows = [_vec_to_dict(v) for v in vectors]
+    for terms in _structural_terms(ring):
+        for i in range(ambient):
+            rows.append({(i, e): c for e, c in terms.items()})
     return ModuleBasis(rows, npos=ambient, nvars=w.nvars,
                        domain=scalar_domain(w), mono_key=w.mono_key,
                        want_tags=want_tags)
@@ -132,7 +144,7 @@ def _engine_basis(ring: RingSpec, ambient: int, vectors, want_tags: bool):
 def _query_row(ring: RingSpec, ambient: int, vec) -> dict:
     if len(vec) != ambient:
         raise ParentMismatch("vector rank mismatch")
-    return _vec_to_dict(tuple(lift_elem(ring, e) for e in vec))
+    return _vec_to_dict(vec)
 
 
 class StdBasis:
@@ -461,10 +473,8 @@ def kernel_hom(f: ModuleHom):
     cols = [f.column(j) for j in range(M.ambient_rank)]
     raw = syzygies_with_relations(cols, N.relations, M.ring, N.ambient_rank)
     mb = M.relations_basis()
-    gens = [g for g in raw if not mb.contains(g)]
-    gens = [mb.normal_form(g) for g in gens]
     seen, kept = set(), []
-    for g in gens:
+    for g in map(mb.normal_form, raw):
         if vec_is_zero(g):
             continue
         key = tuple(e._sorted_key() for e in g)
@@ -482,10 +492,7 @@ def image_coker(f: ModuleHom):
     M, N = f.source, f.target
     cols = [f.column(j) for j in range(M.ambient_rank)]
     nb = N.relations_basis()
-    kept = []
-    for c in cols:
-        if not nb.contains(c):
-            kept.append(nb.normal_form(c))
+    kept = [v for v in map(nb.normal_form, cols) if not vec_is_zero(v)]
     image = submodule_presentation(kept, N)
     coker = quotient_module(N, cols)
     proj = ModuleHom(N, coker, identity_hom(N).matrix, check=False)

@@ -242,6 +242,59 @@ def test_bad_file_in_batch_is_named(tmp_path, capsys, monkeypatch, jobs,
     assert len(calls) == in_process
 
 
+class _QueuedPool:
+    """A process pool with one worker that runs the first submission at once
+    and leaves the others queued, not started."""
+
+    def __init__(self, max_workers):
+        self.futures = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        if not self.futures:
+            future.set_running_or_notify_cancel()
+            try:
+                future.set_result(fn(*args))
+            except Exception as e:
+                future.set_exception(e)
+        self.futures.append(future)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        if cancel_futures:
+            for future in self.futures:
+                future.cancel()
+
+
+def test_failed_file_cancels_queued_files(tmp_path, capsys, monkeypatch):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(z12_instance()), encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"ring": {"kind": "integers"}}),
+                   encoding="utf-8")
+    pools = []
+
+    def pool(max_workers):
+        pools.append(_QueuedPool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", pool)
+    code = main(["run", str(bad), str(good), str(good), "--jobs", "2"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"parse error: {bad}: $: missing required field 'tasks'\n")
+    (queued,) = pools
+    assert len(queued.futures) == 3
+    assert all(f.cancelled() for f in queued.futures[1:])
+
+
 class _BrokenPool:
     """A process pool whose workers die: every future raises."""
 

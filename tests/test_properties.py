@@ -1,6 +1,7 @@
 """Cross-module invariants: adjunction, reduction chains, verdict soundness."""
 import dataclasses
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,16 +10,19 @@ from adiclab.adic import (Budgets, chain_profile, is_complete, is_separated,
 from adiclab.complexes import (BoundedComplex, ComplexMap, cohomology,
                                complex_from_module, hom_complex,
                                tensor_complex)
+from adiclab import modules
 from adiclab.derived import is_cohomologically_complete, telescope_stage
 from adiclab.groebner import ModuleBasis
-from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec, _vec_to_dict,
+from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec,
+                             _engine_basis, _query_row, _vec_to_dict,
                              coordinates, cyclic_module, free_module,
                              lift_elem, modules_equal, modules_isomorphic,
                              std_basis, vec_add, vec_scale, work_ring,
                              work_rows, zero_vector)
 from adiclab.rings import (elem_divstep, parse_element, ring_integers,
                            ring_polynomial, ring_prime_field,
-                           ring_power_series, ring_rationals, scalar_domain)
+                           ring_power_series, ring_quotient, ring_rationals,
+                           scalar_domain)
 from adiclab.smith import smith_normal_form
 from adiclab.theorems import (build_example1, check_lemma1, check_theorem2,
                               check_theorem4)
@@ -292,7 +296,7 @@ def test_one_reduction_loop_normal_forms_and_witnesses(case):
     assert mb.normal_form(d) == nf
     # reducing every position, tag block included, leaves the same
     # leading block
-    full = mb._reduce(d, mb.rows)
+    full = mb._reduce(d, mb.index)
     assert {k: c for k, c in full.items() if k[0] < npos} == nf
     span = _dict_to_vec(nf, npos, ring)
     for w, r in zip(_dict_to_vec(witness, len(rows), ring), rows):
@@ -306,14 +310,16 @@ def test_one_reduction_loop_normal_forms_and_witnesses(case):
 _TAG_RINGS = [ZZ, ring_polynomial(QQ, ("x", "y")),
               ring_polynomial(ring_prime_field(5), ("x", "y")),
               ring_power_series(QQ, "t", 8)]
+_ENGINE_RINGS = _TAG_RINGS + [
+    ring_quotient(ring_polynomial(QQ, ("x", "y")), ["x^2-y", "y^3"])]
 
 
 @st.composite
-def _gens_relations_vectors(draw):
-    """Generators and relations over ZZ, QQ[x,y], GF(5)[x,y] or
-    QQ[[t]]/t^8 in 1-2 positions, one random vector and one combination of
-    the generators and relations."""
-    ring = draw(st.sampled_from(_TAG_RINGS))
+def _gens_relations_vectors(draw, rings=_TAG_RINGS):
+    """Generators and relations over one of rings (by default ZZ, QQ[x,y],
+    GF(5)[x,y] or QQ[[t]]/t^8) in 1-2 positions, one random vector and one
+    combination of the generators and relations."""
+    ring = draw(st.sampled_from(rings))
     npos = draw(st.integers(1, 2))
 
     def element():
@@ -351,6 +357,42 @@ def test_tagless_basis_agrees_with_tagged(case):
         d = _vec_to_dict(tuple(lift_elem(ring, e) for e in v))
         assert tagged.normal_form(d) == tagless.normal_form(d)
         assert tagged.contains(d)[0] == tagless.contains(d)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gens_relations_vectors(_ENGINE_RINGS))
+def test_direct_engine_rows_equal_work_ring_rows(case):
+    ring, npos, gens, rels, vectors = case
+    fed = []
+    with mock.patch.object(modules, "ModuleBasis",
+                           lambda rows, **kw: fed.append(rows)):
+        _engine_basis(ring, npos, gens + rels, want_tags=False)
+    assert fed == [[_vec_to_dict(v) for v in work_rows(ring, npos,
+                                                         gens + rels)]]
+    for v in vectors:
+        assert _query_row(ring, npos, v) == _vec_to_dict(
+            tuple(lift_elem(ring, e) for e in v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gens_relations_vectors(_ENGINE_RINGS), st.booleans())
+def test_stored_leading_terms_and_query_index(case, tags):
+    ring, npos, gens, rels, _ = case
+    w = work_ring(ring)
+    rows = [_vec_to_dict(v) for v in work_rows(ring, npos, gens + rels)]
+    mb = ModuleBasis(rows, npos=npos, nvars=w.nvars, domain=scalar_domain(w),
+                     mono_key=w.mono_key, want_tags=tags)
+
+    def term_order(key):
+        return (-key[0], w.mono_key(key[1]))
+
+    assert len(mb.leads) == len(mb.rows)
+    rebuilt = {}
+    for row, lead in zip(mb.rows, mb.leads):
+        top = max(row, key=term_order)
+        assert lead == (top, row[top])
+        rebuilt.setdefault(top[0], []).append((top[1], row[top], row))
+    assert mb.index == rebuilt
 
 
 @settings(max_examples=100, deadline=None)
