@@ -13,8 +13,11 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import functools
+import hashlib
 import json
+import os
 import random
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -734,6 +737,19 @@ def _run_one(args):
     return run_instance(path, budgets)
 
 
+def _content_key(path):
+    """The sha256 of a regular file's bytes, or else the path itself.  A
+    file that cannot be read here runs alone and its run names the error;
+    a pipe or device is left unread, as reading it would consume it."""
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            with open(path, "rb") as fh:
+                return hashlib.sha256(fh.read()).digest()
+    except OSError:
+        pass
+    return path
+
+
 def _collect(files, results):
     """Reports in file order from one result thunk per file, or None after
     naming the first file that failed to parse or run on stderr."""
@@ -784,7 +800,6 @@ def main(argv=None) -> int:
             print(str(e), file=sys.stderr)
             return EXIT_USAGE
         if args.out_dir:
-            import os
             os.makedirs(args.out_dir, exist_ok=True)
             for i, data in enumerate(instances):
                 name = f"{args.profile}_{args.seed}_{i:04d}.json"
@@ -802,24 +817,35 @@ def main(argv=None) -> int:
 
     budgets = Budgets(depth=args.precision, stages=args.stages,
                       stab_window=args.window)
-    serial = [functools.partial(run_instance, p, budgets) for p in args.files]
-    if args.jobs > 1 and len(args.files) > 1:
+    # Byte-identical files give the same report apart from its label, so
+    # only the first file of each content runs.  Its failure is the first
+    # failure in file order, as its copies would fail the same way.
+    keys = [_content_key(p) for p in args.files]
+    firsts = {}
+    for path, key in zip(args.files, keys):
+        firsts.setdefault(key, path)
+    distinct = list(firsts.values())
+    serial = [functools.partial(run_instance, p, budgets) for p in distinct]
+    if args.jobs > 1 and len(distinct) > 1:
         try:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=args.jobs) as pool:
                 futures = [pool.submit(_run_one, (p, budgets.as_dict()))
-                           for p in args.files]
-                reports = _collect(args.files, [f.result for f in futures])
-                if reports is None:
+                           for p in distinct]
+                runs = _collect(distinct, [f.result for f in futures])
+                if runs is None:
                     # the batch has failed: start no more of its files
                     pool.shutdown(cancel_futures=True)
         except (OSError, concurrent.futures.process.BrokenProcessPool) as e:
             print(f"process pool: {e!r}; running serially", file=sys.stderr)
-            reports = _collect(args.files, serial)
+            runs = _collect(distinct, serial)
     else:
-        reports = _collect(args.files, serial)
-    if reports is None:
+        runs = _collect(distinct, serial)
+    if runs is None:
         return EXIT_USAGE
+    by_key = dict(zip(firsts, runs))
+    reports = [dict(by_key[key], instance=str(path))
+               for path, key in zip(args.files, keys)]
 
     if len(reports) == 1:
         sys.stdout.write(emit_report(reports[0], args.format))

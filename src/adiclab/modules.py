@@ -64,10 +64,11 @@ def work_rows(ring: RingSpec, ambient: int, vectors):
     every ambient coordinate carries by ring structure."""
     w = work_ring(ring)
     rows = [tuple(lift_elem(ring, e) for e in v) for v in vectors]
+    z = w.zero()
     for terms in _structural_terms(ring):
         g = RingElem(w, terms)
         for i in range(ambient):
-            rows.append(tuple(g if j == i else w.zero() for j in range(ambient)))
+            rows.append(tuple(g if j == i else z for j in range(ambient)))
     return rows
 
 
@@ -92,7 +93,8 @@ def _dict_to_vec(d: dict, ambient: int, ring: RingSpec):
     for (pos, exps), c in d.items():
         if pos < ambient:
             cols[pos][exps] = c
-    return tuple(RingElem(ring, col) for col in cols)
+    z = ring.zero()
+    return tuple(RingElem(ring, col) if col else z for col in cols)
 
 
 def zero_vector(ring: RingSpec, ambient: int):
@@ -101,7 +103,8 @@ def zero_vector(ring: RingSpec, ambient: int):
 
 
 def unit_vector(ring: RingSpec, ambient: int, i: int):
-    return tuple(ring.one() if j == i else ring.zero() for j in range(ambient))
+    z = ring.zero()
+    return tuple(ring.one() if j == i else z for j in range(ambient))
 
 
 def vec_add(u, v):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -136,6 +137,10 @@ def test_jobs_byte_identical(tmp_path, child_env):
         f = tmp_path / f"i{i}.json"
         f.write_text(json.dumps(data), encoding="utf-8")
         files.append(str(f))
+    # a byte copy under another name and one path given twice
+    copy = tmp_path / "copy.json"
+    copy.write_bytes((tmp_path / "i0.json").read_bytes())
+    files += [str(copy), files[1]]
 
     def run_with_jobs(jobs):
         cmd = [sys.executable, "-m", "adiclab.cli", "run", *files,
@@ -147,7 +152,7 @@ def test_jobs_byte_identical(tmp_path, child_env):
     out1 = run_with_jobs(1)
     out8 = run_with_jobs(8)
     assert out1 == out8
-    assert json.loads(out1)["reports"]
+    assert [r["instance"] for r in json.loads(out1)["reports"]] == files
 
 
 def test_empty_task_list_header_only():
@@ -273,9 +278,15 @@ class _QueuedPool:
                 future.cancel()
 
 
+def _z12_file(path, seed):
+    """A z12 instance file; distinct seeds give distinct file contents."""
+    path.write_text(json.dumps(dict(z12_instance(), seed=seed)),
+                    encoding="utf-8")
+    return str(path)
+
+
 def test_failed_file_cancels_queued_files(tmp_path, capsys, monkeypatch):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps(z12_instance()), encoding="utf-8")
+    good = [_z12_file(tmp_path / f"good{i}.json", i) for i in (1, 2)]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"ring": {"kind": "integers"}}),
                    encoding="utf-8")
@@ -286,7 +297,7 @@ def test_failed_file_cancels_queued_files(tmp_path, capsys, monkeypatch):
         return pools[-1]
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", pool)
-    code = main(["run", str(bad), str(good), str(good), "--jobs", "2"])
+    code = main(["run", str(bad), *good, "--jobs", "2"])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == (
         f"parse error: {bad}: $: missing required field 'tasks'\n")
@@ -324,11 +335,7 @@ def _no_pool(max_workers):
 ])
 def test_failed_pool_reruns_serially_and_says_so(tmp_path, capsys,
                                                 monkeypatch, pool, cause):
-    files = []
-    for i in range(2):
-        f = tmp_path / f"z12_{i}.json"
-        f.write_text(json.dumps(z12_instance()), encoding="utf-8")
-        files.append(str(f))
+    files = [_z12_file(tmp_path / f"z12_{i}.json", i) for i in range(2)]
     serial_code = main(["run", *files, "--format", "machine", "--jobs", "1"])
     serial = capsys.readouterr()
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", pool)
@@ -337,6 +344,117 @@ def test_failed_pool_reruns_serially_and_says_so(tmp_path, capsys,
     assert (code, fallback.out) == (serial_code, serial.out)
     assert serial.err == ""
     assert fallback.err == f"process pool: {cause}; running serially\n"
+
+
+class _InlinePool:
+    """A process pool that runs each submission at once, in this process."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as e:
+            future.set_exception(e)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Every pool cli.main starts is an _InlinePool; returns the list of
+    the pools started."""
+    pools = []
+
+    def pool(max_workers):
+        pools.append(_InlinePool())
+        return pools[-1]
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", pool)
+    return pools
+
+
+def _count_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_instance",
+                        lambda *a: calls.append(a[0]) or run_instance(*a))
+    return calls
+
+
+@pytest.mark.parametrize("jobs, pools", [("1", 0), ("2", 1)])
+def test_identical_files_run_once_and_report_under_each_name(
+        tmp_path, capsys, monkeypatch, inline_pool, jobs, pools):
+    a = _z12_file(tmp_path / "a.json", 1)
+    b = _z12_file(tmp_path / "b.json", 2)
+    a_copy = tmp_path / "a_copy.json"
+    a_copy.write_bytes((tmp_path / "a.json").read_bytes())
+    files = [a, b, str(a_copy), a]
+    alone = []
+    for f in files:
+        assert main(["run", f, "--format", "machine"]) == EXIT_OK
+        alone.append(json.loads(capsys.readouterr().out))
+    calls = _count_runs(monkeypatch)
+    code = main(["run", *files, "--format", "machine", "--jobs", jobs])
+    out = capsys.readouterr()
+    assert (code, out.err) == (EXIT_OK, "")
+    assert json.loads(out.out)["reports"] == alone
+    assert calls == [a, b]
+    assert len(inline_pool) == pools
+    assert all(pool.submitted == 2 for pool in inline_pool)
+
+
+def test_one_content_starts_no_pool(tmp_path, capsys, monkeypatch,
+                                    inline_pool):
+    a = _z12_file(tmp_path / "a.json", 1)
+    a_copy = tmp_path / "a_copy.json"
+    a_copy.write_bytes((tmp_path / "a.json").read_bytes())
+    calls = _count_runs(monkeypatch)
+    code = main(["run", a, str(a_copy), a, "--format", "machine",
+                 "--jobs", "2"])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert code == EXIT_OK
+    assert [r["instance"] for r in reports] == [a, str(a_copy), a]
+    assert calls == [a]
+    assert inline_pool == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_unreadable_file_between_duplicates_is_named(tmp_path, capsys,
+                                                     inline_pool, jobs):
+    a = _z12_file(tmp_path / "a.json", 1)
+    a_copy = tmp_path / "a_copy.json"
+    a_copy.write_bytes((tmp_path / "a.json").read_bytes())
+    missing = tmp_path / "missing.json"
+    code = main(["run", a, str(missing), str(a_copy), "--jobs", jobs])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"parse error: {missing}: $: cannot read: No such file or "
+        "directory\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_is_read_once(capsys):
+    # as `adiclab run <(cat a.json)` passes it: a path to a pipe
+    r, w = os.pipe()
+    try:
+        os.write(w, json.dumps(z12_instance()).encode())
+        os.close(w)
+        assert main(["run", f"/dev/fd/{r}", "--format", "machine"]) == EXIT_OK
+    finally:
+        os.close(r)
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["status"] == (
+        "consistent")
 
 
 def _graded_instance(grading):

@@ -17,9 +17,9 @@ from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec,
                              _engine_basis, _query_row, _vec_to_dict,
                              coordinates, cyclic_module, free_module,
                              lift_elem, modules_equal, modules_isomorphic,
-                             std_basis, vec_add, vec_scale, work_ring,
-                             work_rows, zero_vector)
-from adiclab.rings import (elem_divstep, parse_element, ring_integers,
+                             std_basis, unit_vector, vec_add, vec_scale,
+                             work_ring, work_rows, zero_vector)
+from adiclab.rings import (RingElem, elem_divstep, parse_element, ring_integers,
                            ring_polynomial, ring_prime_field,
                            ring_power_series, ring_quotient, ring_rationals,
                            scalar_domain)
@@ -372,6 +372,41 @@ def test_direct_engine_rows_equal_work_ring_rows(case):
     for v in vectors:
         assert _query_row(ring, npos, v) == _vec_to_dict(
             tuple(lift_elem(ring, e) for e in v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gens_relations_vectors(_ENGINE_RINGS))
+def test_shared_zero_coordinates_equal_fresh_ones(case):
+    """_dict_to_vec, work_rows and unit_vector reuse one zero element per
+    call; every coordinate equals the element built on its own."""
+    ring, npos, gens, rels, vectors = case
+    w = work_ring(ring)
+
+    def fresh_vec(d, ambient):
+        cols = [{} for _ in range(ambient)]
+        for (pos, exps), c in d.items():
+            if pos < ambient:
+                cols[pos][exps] = c
+        return tuple(RingElem(w, col) for col in cols)
+
+    def parts(vec):
+        return [(e.ring, e.terms) for e in vec]
+
+    flat = tuple(lift_elem(ring, e) for v in gens + rels + vectors
+                 for e in v)
+    d = _vec_to_dict(flat)
+    for ambient in range(len(flat) + 2):
+        assert parts(_dict_to_vec(d, ambient, w)) == parts(
+            fresh_vec(d, ambient))
+    rows = work_rows(ring, npos, gens + rels)
+    structural = [RingElem(w, t) for t in modules._structural_terms(ring)]
+    assert [parts(r) for r in rows[len(gens + rels):]] == [
+        parts(tuple(g if j == i else RingElem(w, {}) for j in range(npos)))
+        for g in structural for i in range(npos)]
+    for i in range(npos):
+        assert parts(unit_vector(ring, npos, i)) == parts(tuple(
+            ring.one() if j == i else RingElem(ring, {})
+            for j in range(npos)))
 
 
 @settings(max_examples=100, deadline=None)
