@@ -25,16 +25,15 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BudgetExceeded, ParentMismatch, PrecisionExceeded
 from .modules import (FPModule, ModuleHom, euclidean_capable, free_module,
                       hom_is_iso, ideal_power_gens, identity_hom,
                       kernel_hom, lift_elem, lower_elem, quotient_module,
                       std_basis, submodule_presentation, unit_vector,
-                      vec_is_zero, work_ring, work_rows, zero_module)
+                      vec_is_zero, work_rows, zero_module)
 from .rings import (POLYNOMIAL, POWER_SERIES, RingElem, RingSpec,
-                    elem_divstep, element_to_str, scalar_domain)
+                    elem_divstep, element_to_str)
 from .smith import smith_normal_form
 from . import verdicts
 from .verdicts import Verdict
@@ -99,9 +98,8 @@ def _elem_gcd(ring: RingSpec, elems):
     for e in elems:
         while not e.is_zero():
             g, e = e, elem_divstep(g, e)[1]
-    dom = scalar_domain(ring)
     if not g.is_zero():
-        g = g.scale(dom.normalizer(g.leading()[1]))
+        g = g.scale(ring.domain.normalizer(g.leading()[1]))
     return g
 
 
@@ -120,7 +118,7 @@ def _euclid_chain(M: FPModule, gens, budgets: Budgets):
     elements of the intersection of the chain when a free summand makes it
     descend forever."""
     ring = M.ring
-    w = work_ring(ring)
+    w = ring.work
     rows = work_rows(ring, M.ambient_rank, M.relations)
     Vinv, D, rank = smith_normal_form(rows, w) if rows else (None, [], 0)
     free_rank = M.ambient_rank - rank
@@ -186,20 +184,11 @@ def _graded_positive(M: FPModule, gens) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _localization_ring(w: RingSpec) -> RingSpec:
-    name = "zloc"
-    while name in w.vars:
-        name += "_"
-    return RingSpec(POLYNOMIAL, base=w.base, vars=w.vars + (name,),
-                    order=w.order)
-
-
 def nilpotent_on_module(a: RingElem, M: FPModule) -> bool | None:
     """Does a act nilpotently on M?  Decided by collapsing M[1/a];
     None when the ring is outside the decidable set."""
     ring = M.ring
-    w = work_ring(ring)
+    w = ring.work
     if w.nvars == 0:
         # scalar rings are Euclidean; the chain analysis handles them
         prof = chain_profile(M, [a], DEFAULT_BUDGETS)
@@ -208,7 +197,11 @@ def nilpotent_on_module(a: RingElem, M: FPModule) -> bool | None:
         return False if prof.status == "strict_forever" else None
     if w.kind != POLYNOMIAL:
         return None
-    ext = _localization_ring(w)
+    name = "zloc"
+    while name in w.vars:
+        name += "_"
+    ext = RingSpec(POLYNOMIAL, base=w.base, vars=w.vars + (name,),
+                   order=w.order)
 
     def extend(e: RingElem) -> RingElem:
         return RingElem(ext, {exps + (0,): c for exps, c in e.terms.items()})
@@ -324,25 +317,19 @@ class Tower:
         self._transition_fn = transition_fn
         self.depth = depth
         self.meta = meta or {}
-        self._stages: dict[int, FPModule] = {}
-        self._transitions: dict[int, ModuleHom] = {}
 
     def stage(self, k: int) -> FPModule:
         if k < 0:
             raise BudgetExceeded("negative tower stage")
         if k > self.depth:
             raise BudgetExceeded(f"stage {k} beyond tower depth {self.depth}")
-        if k not in self._stages:
-            self._stages[k] = self._stage_fn(k)
-        return self._stages[k]
+        return self._stage_fn(k)
 
     def transition(self, k: int) -> ModuleHom:
         """stage(k+1) -> stage(k)."""
         if k + 1 > self.depth:
             raise BudgetExceeded(f"transition {k} beyond depth {self.depth}")
-        if k not in self._transitions:
-            self._transitions[k] = self._transition_fn(k)
-        return self._transitions[k]
+        return self._transition_fn(k)
 
     def stabilization(self, budgets: Budgets = DEFAULT_BUDGETS):
         """(index, certificate) when the tower provably stabilizes."""

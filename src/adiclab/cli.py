@@ -386,6 +386,9 @@ def run_instance(source, overrides: Budgets | None = None,
                 data = json.load(fh)
         except OSError as e:
             raise ParseError("$", f"cannot read: {e.strerror or e}") from None
+        except UnicodeDecodeError as e:
+            raise ParseError("$", f"not UTF-8 at byte {e.start}: "
+                                  f"{e.reason}") from None
         except json.JSONDecodeError as e:
             raise ParseError(f"line {e.lineno}, column {e.colno}",
                              e.msg) from None

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidComplex, NotFree, ParentMismatch
-from .modules import (FPModule, ModuleHom, compose, coordinates,
-                      direct_sum_module, free_module, identity_hom,
-                      kernel_hom, quotient_module,
+from .modules import (FPModule, ModuleHom, _kernel_gens, compose,
+                      coordinates, direct_sum_module, free_module,
+                      identity_hom, kernel_hom, quotient_module,
                       syzygies_with_relations, vec_is_zero,
                       zero_hom, zero_module)
 from .rings import RingSpec
@@ -109,8 +109,7 @@ def _cohomology_data(C: BoundedComplex, j: int) -> CohomologyData:
     ring = C.ring
     dj = C.differential(j)
     djm1 = C.differential(j - 1)
-    ker, incl = kernel_hom(dj)
-    kgens = [incl.column(t) for t in range(ker.ambient_rank)]
+    kgens = _kernel_gens(dj)
     bucket = list(C.entry(j).relations)
     bucket += [djm1.column(t) for t in range(C.entry(j - 1).ambient_rank)]
     bucket = [b for b in bucket if not vec_is_zero(b)]
@@ -528,7 +527,7 @@ def is_quasi_iso(phi: ComplexMap) -> Verdict:
     for j in degrees:
         ind = induced_cohomology_map(phi, j)
         ker, _ = kernel_hom(ind)
-        if not ker.is_zero():
+        if ker.ambient_rank:
             return verdicts.fails({
                 "kind": "quasi_iso_obstruction", "degree": j,
                 "side": "kernel", "rank": ker.ambient_rank})

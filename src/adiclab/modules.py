@@ -10,12 +10,9 @@ form diagonal data for invariant-factor comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from .errors import BudgetExceeded, ParentMismatch, UnsupportedRing
 from .groebner import ModuleBasis
-from .rings import (INTEGERS, LEX, POLYNOMIAL, POWER_SERIES, QUOTIENT,
-                    RingElem, RingSpec, element_to_str, ring_polynomial,
-                    scalar_domain)
+from .rings import INTEGERS, POLYNOMIAL, RingElem, RingSpec, element_to_str
 from .smith import invariant_factors
 
 DEFAULT_POWER_BUDGET = 64
@@ -25,21 +22,10 @@ DEFAULT_POWER_BUDGET = 64
 # computation workspace: lift quotient/power-series scalars
 
 
-@lru_cache(maxsize=None)
-def work_ring(ring: RingSpec) -> RingSpec:
-    """The polynomial or scalar ring the engine actually computes over."""
-    if ring.kind == POWER_SERIES:
-        return ring_polynomial(ring.base, ring.vars, LEX)
-    if ring.kind == QUOTIENT:
-        return ring.base
-    return ring
-
-
 def lift_elem(ring: RingSpec, e: RingElem) -> RingElem:
-    w = work_ring(ring)
-    if w == ring:
+    if ring.work is ring:
         return e
-    return RingElem(w, dict(e.terms))
+    return RingElem(ring.work, dict(e.terms))
 
 
 def lower_elem(ring: RingSpec, e: RingElem) -> RingElem:
@@ -48,24 +34,13 @@ def lower_elem(ring: RingSpec, e: RingElem) -> RingElem:
     return RingElem(ring, dict(e.terms))
 
 
-def _structural_terms(ring: RingSpec):
-    """Term dicts over the work ring of the elements that kill every ambient
-    coordinate by ring structure: t^N for truncated power series, the ideal
-    generators for quotients."""
-    if ring.kind == POWER_SERIES:
-        return [{(ring.precision,): scalar_domain(ring).one}]
-    if ring.kind == QUOTIENT:
-        return [g.terms for g in ring.ideal_gens]
-    return []
-
-
 def work_rows(ring: RingSpec, ambient: int, vectors):
     """The vectors lifted to the work ring, followed by the relation rows
     every ambient coordinate carries by ring structure."""
-    w = work_ring(ring)
+    w = ring.work
     rows = [tuple(lift_elem(ring, e) for e in v) for v in vectors]
     z = w.zero()
-    for terms in _structural_terms(ring):
+    for terms in ring.structural:
         g = RingElem(w, terms)
         for i in range(ambient):
             rows.append(tuple(g if j == i else z for j in range(ambient)))
@@ -74,7 +49,7 @@ def work_rows(ring: RingSpec, ambient: int, vectors):
 
 def euclidean_capable(ring: RingSpec) -> bool:
     """True when Smith normal form applies over the work ring."""
-    w = work_ring(ring)
+    w = ring.work
     if w.kind in (INTEGERS, "rationals", "prime_field"):
         return True
     return w.kind == POLYNOMIAL and w.nvars == 1 and w.base.is_field
@@ -134,13 +109,13 @@ def _engine_basis(ring: RingSpec, ambient: int, vectors, want_tags: bool):
                 raise ParentMismatch("generator entry outside the ring")
     # the work ring holds the same term dicts as the ring, so entries are
     # read directly instead of through work_rows
-    w = work_ring(ring)
+    w = ring.work
     rows = [_vec_to_dict(v) for v in vectors]
-    for terms in _structural_terms(ring):
+    for terms in ring.structural:
         for i in range(ambient):
             rows.append({(i, e): c for e, c in terms.items()})
     return ModuleBasis(rows, npos=ambient, nvars=w.nvars,
-                       domain=scalar_domain(w), mono_key=w.mono_key,
+                       domain=w.domain, mono_key=w.mono_key,
                        want_tags=want_tags)
 
 
@@ -470,8 +445,9 @@ def submodule_presentation(gens, M: FPModule) -> FPModule:
     return FPModule(M.ring, len(gens), rels)
 
 
-def kernel_hom(f: ModuleHom):
-    """(ker f as an FPModule, inclusion ker f -> source)."""
+def _kernel_gens(f: ModuleHom):
+    """Generators of ker f as source vectors: distinct nonzero normal forms
+    modulo the source's relations."""
     M, N = f.source, f.target
     cols = [f.column(j) for j in range(M.ambient_rank)]
     raw = syzygies_with_relations(cols, N.relations, M.ring, N.ambient_rank)
@@ -484,6 +460,13 @@ def kernel_hom(f: ModuleHom):
         if key not in seen:
             seen.add(key)
             kept.append(g)
+    return kept
+
+
+def kernel_hom(f: ModuleHom):
+    """(ker f as an FPModule, inclusion ker f -> source)."""
+    M = f.source
+    kept = _kernel_gens(f)
     ker = submodule_presentation(kept, M)
     mat = [[kept[j][i] for j in range(len(kept))] for i in range(M.ambient_rank)]
     incl = ModuleHom(ker, M, mat, check=False)
@@ -503,8 +486,10 @@ def image_coker(f: ModuleHom):
 
 
 def hom_is_injective(f: ModuleHom) -> bool:
+    # every kernel generator is nonzero in the source, so the kernel is
+    # zero exactly when it has none
     ker, _ = kernel_hom(f)
-    return ker.is_zero()
+    return ker.ambient_rank == 0
 
 
 def hom_is_surjective(f: ModuleHom) -> bool:
@@ -581,7 +566,7 @@ def module_invariants(M: FPModule):
     if not euclidean_capable(M.ring):
         raise UnsupportedRing(f"no invariant factors over {M.ring!r}")
     rows = work_rows(M.ring, M.ambient_rank, M.relations)
-    factors, free = invariant_factors(rows, work_ring(M.ring), M.ambient_rank)
+    factors, free = invariant_factors(rows, M.ring.work, M.ambient_rank)
     return tuple(sorted(element_to_str(d) for d in factors)), free
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DivisionByZero, InvalidRing, ParentMismatch, UnsupportedRing
+from .groebner import ModuleBasis
 
 LEX = "lex"
 GRLEX = "grlex"
@@ -214,6 +214,10 @@ class PrimeFieldScalars:
         return 0 if a % self.p == 0 else 1
 
 
+INTEGER_SCALARS = IntegerScalars()
+RATIONAL_SCALARS = RationalScalars()
+
+
 # ---------------------------------------------------------------------------
 # ring specifications
 
@@ -233,6 +237,16 @@ class RingSpec:
 
     kind is one of integers, rationals, prime_field, polynomial, quotient,
     truncated_power_series.  All supported rings are noetherian.
+
+    Four facts are computed once, at construction, and take no part in
+    equality or hashing: `domain`, the scalar domain of the coefficients;
+    `work`, the ring the engine computes over (a power series ring lifts to
+    its polynomial ring in lex order, a quotient to its ambient ring, any
+    other ring to itself); `structural`, term dicts over `work` of the
+    relations that lift forgets (t^N, or a quotient's ideal generators),
+    which kill every ambient coordinate; and `quotient_basis`, the tagless
+    Groebner basis over a rank-one free module of a quotient's nonzero
+    ideal, None for any other ring.
     """
 
     kind: str
@@ -242,6 +256,38 @@ class RingSpec:
     order: str | None = None
     ideal_gens: tuple = ()  # RingElem over the ambient, quotient kind only
     precision: int | None = None
+
+    domain: object = field(init=False, compare=False, repr=False)
+    work: "RingSpec" = field(init=False, compare=False, repr=False)
+    structural: tuple = field(init=False, compare=False, repr=False)
+    quotient_basis: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        kind = self.kind
+        if kind == INTEGERS:
+            domain = INTEGER_SCALARS
+        elif kind == RATIONALS:
+            domain = RATIONAL_SCALARS
+        elif kind == PRIME_FIELD:
+            domain = PrimeFieldScalars(self.p)
+        else:
+            domain = self.base.domain
+        work, structural, basis = self, (), None
+        if kind == POWER_SERIES:
+            work = ring_polynomial(self.base, self.vars, LEX)
+            structural = ({(self.precision,): domain.one},)
+        elif kind == QUOTIENT:
+            work = self.base
+            structural = tuple(g.terms for g in self.ideal_gens)
+            if structural:
+                basis = ModuleBasis([{(0, e): c for e, c in t.items()}
+                                     for t in structural],
+                                    npos=1, nvars=work.nvars, domain=domain,
+                                    mono_key=work.mono_key, want_tags=False)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "work", work)
+        object.__setattr__(self, "structural", structural)
+        object.__setattr__(self, "quotient_basis", basis)
 
     # -- structural helpers ------------------------------------------------
 
@@ -284,21 +330,18 @@ class RingSpec:
         return RingElem(self, {})
 
     def one(self) -> "RingElem":
-        dom = scalar_domain(self)
-        return RingElem(self, {(0,) * self.nvars: dom.one})
+        return RingElem(self, {(0,) * self.nvars: self.domain.one})
 
     def from_int(self, n: int) -> "RingElem":
-        dom = scalar_domain(self)
-        return RingElem(self, {(0,) * self.nvars: dom.coerce(n)})
+        return RingElem(self, {(0,) * self.nvars: self.domain.coerce(n)})
 
     def from_scalar(self, c) -> "RingElem":
-        dom = scalar_domain(self)
-        return RingElem(self, {(0,) * self.nvars: dom.coerce(c)})
+        return RingElem(self, {(0,) * self.nvars: self.domain.coerce(c)})
 
     def variable(self, name: str) -> "RingElem":
         i = self.var_index(name)
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return RingElem(self, {exps: scalar_domain(self).one})
+        return RingElem(self, {exps: self.domain.one})
 
     def __repr__(self):
         if self.kind == INTEGERS:
@@ -313,20 +356,6 @@ class RingSpec:
             rels = ", ".join(element_to_str(g) for g in self.ideal_gens)
             return f"{self.base!r}/({rels})"
         return f"{self.base!r}[{self.vars[0]}]/({self.vars[0]}^{self.precision})"
-
-
-@lru_cache(maxsize=None)
-def _scalar_domain_for(kind: str, p: int | None):
-    if kind == INTEGERS:
-        return IntegerScalars()
-    if kind == RATIONALS:
-        return RationalScalars()
-    return PrimeFieldScalars(p)
-
-
-def scalar_domain(spec: RingSpec):
-    base = spec.scalar_base()
-    return _scalar_domain_for(base.kind, base.p)
 
 
 # -- constructors ----------------------------------------------------------
@@ -477,7 +506,7 @@ class RingElem:
         return not self.terms
 
     def is_unit(self) -> bool:
-        dom = scalar_domain(self.ring)
+        dom = self.ring.domain
         if self.ring.kind in _SCALAR_KINDS:
             return bool(self.terms) and dom.is_unit(next(iter(self.terms.values())))
         if self.ring.kind == POWER_SERIES:
@@ -506,7 +535,7 @@ class RingElem:
         z = (0,) * self.ring.nvars
         if set(self.terms) - {z}:
             raise UnsupportedRing(f"{self} is not a constant")
-        return self.terms.get(z, scalar_domain(self.ring).zero)
+        return self.terms.get(z, self.ring.domain.zero)
 
     def leading(self):
         """(exponent tuple, coefficient) of the order-leading term."""
@@ -535,7 +564,7 @@ class RingElem:
 
     def __add__(self, other):
         other = self._check(other)
-        dom = scalar_domain(self.ring)
+        dom = self.ring.domain
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = dom.add(out.get(e, dom.zero), c)
@@ -548,7 +577,7 @@ class RingElem:
     __radd__ = __add__
 
     def __neg__(self):
-        dom = scalar_domain(self.ring)
+        dom = self.ring.domain
         return RingElem(self.ring, {e: dom.neg(c) for e, c in self.terms.items()},
                         _normalized=self.ring.kind != QUOTIENT)
 
@@ -560,7 +589,7 @@ class RingElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        dom = scalar_domain(self.ring)
+        dom = self.ring.domain
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -575,7 +604,7 @@ class RingElem:
     __rmul__ = __mul__
 
     def scale(self, c) -> "RingElem":
-        dom = scalar_domain(self.ring)
+        dom = self.ring.domain
         c = dom.coerce(c)
         if c == dom.zero:
             return self.ring.zero()
@@ -609,7 +638,7 @@ class RingElem:
 
 
 def _normalize_terms(ring: RingSpec, terms: dict) -> dict:
-    dom = scalar_domain(ring)
+    dom = ring.domain
     nv = ring.nvars
     out = {}
     for e, c in terms.items():
@@ -626,30 +655,11 @@ def _normalize_terms(ring: RingSpec, terms: dict) -> dict:
             out.pop(e, None)
         else:
             out[e] = s
-    if ring.kind == QUOTIENT and out:
-        out = _quotient_reduce(ring, out)
+    if ring.quotient_basis is not None and out:
+        nf = ring.quotient_basis.normal_form(
+            {(0, e): c for e, c in out.items()})
+        out = {e: c for (_, e), c in nf.items()}
     return out
-
-
-@lru_cache(maxsize=None)
-def _quotient_basis(ring: RingSpec):
-    """Reduced Groebner basis of the defining ideal, as raw term dicts over a
-    rank-one free module (position 0)."""
-    from .groebner import ModuleBasis
-
-    ambient = ring.base
-    rows = [{(0, e): c for e, c in g.terms.items()} for g in ring.ideal_gens]
-    return ModuleBasis(rows, npos=1, nvars=ambient.nvars,
-                       domain=scalar_domain(ambient),
-                       mono_key=ambient.mono_key, want_tags=False)
-
-
-def _quotient_reduce(ring: RingSpec, terms: dict) -> dict:
-    if not ring.ideal_gens:
-        return terms
-    basis = _quotient_basis(ring)
-    nf = basis.normal_form({(0, e): c for e, c in terms.items()})
-    return {e: c for (_, e), c in nf.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +690,7 @@ def elem_divstep(a: RingElem, b: RingElem) -> tuple[RingElem, RingElem]:
         raise ParentMismatch("divstep operands in different rings")
     if b.is_zero():
         raise DivisionByZero("divstep by zero")
-    dom = scalar_domain(ring)
+    dom = ring.domain
     if ring.kind in _SCALAR_KINDS:
         q, r = dom.divstep(a.constant_scalar(), b.constant_scalar())
         return ring.from_scalar(q), ring.from_scalar(r)

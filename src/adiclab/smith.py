@@ -7,7 +7,7 @@ finitely presented modules.
 """
 from __future__ import annotations
 
-from .rings import RingSpec, elem_divstep, euclid_size, scalar_domain
+from .rings import RingSpec, elem_divstep, euclid_size
 
 
 def smith_normal_form(matrix, ring: RingSpec):
@@ -117,7 +117,7 @@ def smith_normal_form(matrix, ring: RingSpec):
                         col_swap(i, i + 1)
 
     # canonical units on the diagonal
-    dom = scalar_domain(ring)
+    dom = ring.domain
     for i in range(rank):
         lead = A[i][i].leading()
         u = dom.normalizer(lead[1])

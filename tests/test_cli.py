@@ -443,6 +443,18 @@ def test_unreadable_file_between_duplicates_is_named(tmp_path, capsys,
         "directory\n")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_non_utf8_file_is_parse_error(tmp_path, capsys, jobs):
+    good = _z12_file(tmp_path / "good.json", 1)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code = main(["run", str(bad), good, "--jobs", jobs])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"parse error: {bad}: $: not UTF-8 at byte 0: invalid start "
+        "byte\n")
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_pipe_is_read_once(capsys):
     # as `adiclab run <(cat a.json)` passes it: a path to a pipe

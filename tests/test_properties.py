@@ -16,13 +16,15 @@ from adiclab.groebner import ModuleBasis
 from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec,
                              _engine_basis, _query_row, _vec_to_dict,
                              coordinates, cyclic_module, free_module,
-                             lift_elem, modules_equal, modules_isomorphic,
+                             hom_is_injective, kernel_hom, lift_elem,
+                             modules_equal, modules_isomorphic,
                              std_basis, unit_vector, vec_add, vec_scale,
-                             work_ring, work_rows, zero_vector)
-from adiclab.rings import (RingElem, elem_divstep, parse_element, ring_integers,
-                           ring_polynomial, ring_prime_field,
+                             work_rows, zero_vector)
+from adiclab.rings import (IntegerScalars, PrimeFieldScalars, RationalScalars,
+                           RingElem, elem_divstep, make_ring, parse_element,
+                           ring_integers, ring_polynomial, ring_prime_field,
                            ring_power_series, ring_quotient, ring_rationals,
-                           scalar_domain)
+                           ring_to_desc)
 from adiclab.smith import smith_normal_form
 from adiclab.theorems import (build_example1, check_lemma1, check_theorem2,
                               check_theorem4)
@@ -289,7 +291,7 @@ def _rows_and_vector(draw):
 def test_one_reduction_loop_normal_forms_and_witnesses(case):
     ring, npos, rows, v = case
     mb = ModuleBasis([_vec_to_dict(r) for r in rows], npos=npos,
-                     nvars=ring.nvars, domain=scalar_domain(ring),
+                     nvars=ring.nvars, domain=ring.domain,
                      mono_key=ring.mono_key)
     d = _vec_to_dict(v)
     nf, witness = mb.reduce_with_witness(d)
@@ -346,10 +348,10 @@ def _gens_relations_vectors(draw, rings=_TAG_RINGS):
 @given(_gens_relations_vectors())
 def test_tagless_basis_agrees_with_tagged(case):
     ring, npos, gens, rels, vectors = case
-    w = work_ring(ring)
+    w = ring.work
     rows = [_vec_to_dict(v) for v in work_rows(ring, npos, gens + rels)]
     tagged, tagless = (
-        ModuleBasis(rows, npos=npos, nvars=w.nvars, domain=scalar_domain(w),
+        ModuleBasis(rows, npos=npos, nvars=w.nvars, domain=w.domain,
                     mono_key=w.mono_key, want_tags=tags)
         for tags in (True, False))
     assert tagged.generators() == tagless.generators()
@@ -380,7 +382,7 @@ def test_shared_zero_coordinates_equal_fresh_ones(case):
     """_dict_to_vec, work_rows and unit_vector reuse one zero element per
     call; every coordinate equals the element built on its own."""
     ring, npos, gens, rels, vectors = case
-    w = work_ring(ring)
+    w = ring.work
 
     def fresh_vec(d, ambient):
         cols = [{} for _ in range(ambient)]
@@ -399,7 +401,7 @@ def test_shared_zero_coordinates_equal_fresh_ones(case):
         assert parts(_dict_to_vec(d, ambient, w)) == parts(
             fresh_vec(d, ambient))
     rows = work_rows(ring, npos, gens + rels)
-    structural = [RingElem(w, t) for t in modules._structural_terms(ring)]
+    structural = [RingElem(w, t) for t in ring.structural]
     assert [parts(r) for r in rows[len(gens + rels):]] == [
         parts(tuple(g if j == i else RingElem(w, {}) for j in range(npos)))
         for g in structural for i in range(npos)]
@@ -413,9 +415,9 @@ def test_shared_zero_coordinates_equal_fresh_ones(case):
 @given(_gens_relations_vectors(_ENGINE_RINGS), st.booleans())
 def test_stored_leading_terms_and_query_index(case, tags):
     ring, npos, gens, rels, _ = case
-    w = work_ring(ring)
+    w = ring.work
     rows = [_vec_to_dict(v) for v in work_rows(ring, npos, gens + rels)]
-    mb = ModuleBasis(rows, npos=npos, nvars=w.nvars, domain=scalar_domain(w),
+    mb = ModuleBasis(rows, npos=npos, nvars=w.nvars, domain=w.domain,
                      mono_key=w.mono_key, want_tags=tags)
 
     def term_order(key):
@@ -527,3 +529,87 @@ def test_memoised_chain_profiles_equal_fresh_ones(case):
                 got = chain_profile(*key)
                 for f in dataclasses.fields(want):
                     assert getattr(got, f.name) == getattr(want, f.name)
+
+
+_FACT_RINGS = [ZZ, QQ, ring_prime_field(5), ring_polynomial(QQ, ("x", "y")),
+               ring_polynomial(ring_prime_field(5), ("x", "y")),
+               ring_power_series(QQ, "t", 8),
+               ring_quotient(ring_polynomial(QQ, ("x", "y")),
+                             ["x^2-y", "y^3"])]
+
+
+def _fresh_facts(ring):
+    """(domain, work ring, structural terms) of ring, built anew."""
+    scalars = ring.scalar_base()
+    if scalars.kind == "prime_field":
+        domain = PrimeFieldScalars(scalars.p)
+    elif scalars.kind == "integers":
+        domain = IntegerScalars()
+    else:
+        domain = RationalScalars()
+    if ring.kind == "truncated_power_series":
+        return (domain, ring_polynomial(ring.base, ring.vars, "lex"),
+                ({(ring.precision,): domain.one},))
+    if ring.kind == "quotient":
+        return domain, ring.base, tuple(g.terms for g in ring.ideal_gens)
+    return domain, ring, ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_FACT_RINGS), st.data())
+def test_ring_facts_equal_fresh_ones(ring, data):
+    domain, work, structural = _fresh_facts(ring)
+    assert (type(ring.domain), vars(ring.domain)) == (type(domain),
+                                                     vars(domain))
+    assert ring.work == work and ring.work.work is ring.work
+    assert ring.structural == structural
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4) for _ in ring.vars]),
+        st.integers(-3, 3), max_size=4))
+    elem = RingElem(ring, terms)
+    if ring.kind == "quotient":
+        fresh = ModuleBasis([{(0, e): c for e, c in t.items()}
+                             for t in structural], npos=1, nvars=work.nvars,
+                            domain=domain, mono_key=work.mono_key,
+                            want_tags=False)
+        nf = fresh.normal_form({(0, e): c for e, c in
+                                RingElem(work, terms).terms.items()})
+        assert elem.terms == {e: c for (_, e), c in nf.items()}
+    else:
+        assert ring.quotient_basis is None
+    # a ring built again from its description is a distinct but equal
+    # object, and so are its elements
+    twin = make_ring(ring_to_desc(ring))
+    assert twin is not ring
+    assert twin == ring and hash(twin) == hash(ring)
+    twin_elem = RingElem(twin, terms)
+    assert twin_elem == elem and hash(twin_elem) == hash(elem)
+
+
+@st.composite
+def _homs(draw):
+    """A hom M -> N over one ring: N holds the images of M's relations
+    plus up to one extra relation, so the matrix is always a valid hom."""
+    ring = draw(st.sampled_from(_ENGINE_RINGS))
+
+    def element():
+        e = ring.from_int(draw(st.integers(-3, 3)))
+        for v in ring.vars:
+            e = e * ring.variable(v) ** draw(st.integers(0, 2))
+        return e
+
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    M = FPModule(ring, m, [tuple(element() for _ in range(m))
+                           for _ in range(draw(st.integers(0, 2)))])
+    mat = [[element() for _ in range(m)] for _ in range(n)]
+    f = ModuleHom(M, free_module(ring, n), mat, check=False)
+    rels = [f.apply(r) for r in M.relations]
+    rels += [tuple(element() for _ in range(n))
+             for _ in range(draw(st.integers(0, 1)))]
+    return ModuleHom(M, FPModule(ring, n, rels), mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_homs())
+def test_injectivity_by_kernel_rank_equals_kernel_is_zero(f):
+    assert hom_is_injective(f) == kernel_hom(f)[0].is_zero()

@@ -31,6 +31,8 @@ def test_make_ring_rejects_junk():
         ring_polynomial(QQ, ("x", "x"))
     with pytest.raises(InvalidRing):
         ring_power_series(QQ, "t", 0)
+    with pytest.raises(InvalidRing):  # its work ring is built at once
+        ring_power_series(QQ, "1t", 4)
     with pytest.raises(InvalidRing):
         make_ring({"kind": "integers", "oops": 1})
     with pytest.raises(InvalidRing):
