@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ParentMismatch, PrecisionExceeded
 from .modules import (FPModule, ModuleHom, euclidean_capable, free_module,
-                      hom_is_iso, ideal_power_gens, identity_hom,
-                      kernel_hom, lift_elem, lower_elem, quotient_module,
-                      std_basis, submodule_presentation, unit_vector,
-                      vec_is_zero, work_rows, zero_module)
+                      hom_is_iso, ideal_power_gens, kernel_hom, lift_elem,
+                      lower_elem, quotient_module, std_basis,
+                      submodule_presentation, unit_vector, vec_is_zero,
+                      work_rows, zero_module)
 from .rings import (POLYNOMIAL, POWER_SERIES, RingElem, RingSpec,
                     elem_divstep, element_to_str)
 from .smith import smith_normal_form
@@ -303,45 +303,49 @@ def _chain_profile(M: FPModule, gens, budgets: Budgets) -> ChainProfile:
 # towers
 
 
+@dataclass(frozen=True)
 class Tower:
     """An inverse system of modules with transition homs stage(k+1)->stage(k).
 
-    Stages materialize lazily and deterministically; the kind tag records
-    the algebraic origin, which is what makes limit verdicts certifiable."""
+    A tower is a value: its kind names the algebraic origin, which is what
+    makes limit verdicts certifiable.  A "quotient" tower has stages
+    M/a^k M for the ideal a = (gens) and canonical surjections; a
+    "multiplication" tower has constant stages M and transitions
+    multiplication by its one generator.  Stages are computed on demand."""
+    kind: str
+    module: FPModule
+    gens: tuple
+    depth: int
 
-    def __init__(self, kind: str, ring: RingSpec, stage_fn, transition_fn,
-                 depth: int, meta: dict | None = None):
-        self.kind = kind
-        self.ring = ring
-        self._stage_fn = stage_fn
-        self._transition_fn = transition_fn
-        self.depth = depth
-        self.meta = meta or {}
+    def __post_init__(self):
+        if self.kind not in ("quotient", "multiplication"):
+            raise ValueError(f"unknown tower kind {self.kind!r}")
 
     def stage(self, k: int) -> FPModule:
         if k < 0:
             raise BudgetExceeded("negative tower stage")
         if k > self.depth:
             raise BudgetExceeded(f"stage {k} beyond tower depth {self.depth}")
-        return self._stage_fn(k)
+        if self.kind == "quotient":
+            return quotient_module(self.module,
+                                   ideal_power_gens(self.gens, k, self.module))
+        return self.module
 
     def transition(self, k: int) -> ModuleHom:
         """stage(k+1) -> stage(k)."""
         if k + 1 > self.depth:
             raise BudgetExceeded(f"transition {k} beyond depth {self.depth}")
-        return self._transition_fn(k)
+        M = self.module
+        d = M.ring.one() if self.kind == "quotient" else self.gens[0]
+        return ModuleHom(self.stage(k + 1), self.stage(k),
+                         _diagonal(M.ring, M.ambient_rank, d), check=False)
 
     def stabilization(self, budgets: Budgets = DEFAULT_BUDGETS):
         """(index, certificate) when the tower provably stabilizes."""
-        if self.kind == "quotient":
-            prof = chain_profile(self.meta["module"], self.meta["gens"], budgets)
-            if prof.status == "stabilized":
-                return prof.stabilized_at, prof.certificate
-        if self.kind == "multiplication":
-            prof = chain_profile(self.meta["module"], [self.meta["elem"]],
-                                 budgets)
-            if prof.status == "stabilized" and not prof.tail_gens:
-                return prof.stabilized_at, prof.certificate
+        prof = chain_profile(self.module, self.gens, budgets)
+        if prof.status == "stabilized" and (self.kind == "quotient"
+                                            or not prof.tail_gens):
+            return prof.stabilized_at, prof.certificate
         # window detection: the least k whose transitions up to the end of
         # the window are all isomorphisms, scanning back from the last one
         end = min(self.depth, budgets.window)
@@ -353,33 +357,22 @@ class Tower:
         return None
 
 
+def _diagonal(ring: RingSpec, n: int, d: RingElem):
+    return [[d if i == j else ring.zero() for j in range(n)] for i in range(n)]
+
+
 def completion_tower(M: FPModule, gens, depth: int = 16,
                      budgets: Budgets | None = None) -> Tower:
     """The quotient tower M/a^k M with canonical surjective transitions."""
     budgets = budgets or DEFAULT_BUDGETS
     if depth > 4 * budgets.depth:
         raise BudgetExceeded(f"depth {depth} beyond budget")
-    gens = _gens_valid(M, gens)
-
-    def stage(k):
-        return quotient_module(M, ideal_power_gens(gens, k, M))
-
-    def transition(k):
-        return ModuleHom(stage(k + 1), stage(k),
-                         identity_hom(M).matrix, check=False)
-
-    return Tower("quotient", M.ring, stage, transition, depth,
-                 {"module": M, "gens": gens})
+    return Tower("quotient", M, tuple(_gens_valid(M, gens)), depth)
 
 
 def multiplication_tower(M: FPModule, a: RingElem, depth: int = 16) -> Tower:
     """Constant stages M with transitions multiplication by a."""
-    mat = [[a if i == j else M.ring.zero() for j in range(M.ambient_rank)]
-           for i in range(M.ambient_rank)]
-
-    return Tower("multiplication", M.ring, lambda k: M,
-                 lambda k: ModuleHom(M, M, mat, check=False), depth,
-                 {"module": M, "elem": a})
+    return Tower("multiplication", M, (a,), depth)
 
 
 @dataclass(frozen=True)
@@ -393,69 +386,68 @@ class LimReport:
 
 def _mult_tail_iso(M: FPModule, a: RingElem, tail_gens):
     """Multiplication by a on the stabilized submodule; check isomorphism."""
-    if not tail_gens:
-        return True, None
     T = submodule_presentation(list(tail_gens), M)
-    mat = [[a if i == j else M.ring.zero() for j in range(T.ambient_rank)]
-           for i in range(T.ambient_rank)]
-    f = ModuleHom(T, T, mat, check=False)
+    f = ModuleHom(T, T, _diagonal(M.ring, T.ambient_rank, a), check=False)
     return hom_is_iso(f), T
+
+
+def _limit(T: Tower, prof: ChainProfile, budgets: Budgets) -> LimReport:
+    """The inverse limit of T read from the chain profile of its ideal."""
+    k0 = prof.stabilized_at
+    if T.kind == "quotient":
+        if prof.status == "stabilized":
+            return LimReport(True, T.stage(min(k0, T.depth)), k0,
+                             "tower stabilizes")
+        note = ("strictly descending forever" if prof.status == "strict_forever"
+                else "undecided within budget")
+        return LimReport(False, None, None, note)
+    M, a = T.module, T.gens[0]
+    if prof.status == "stabilized":
+        if not prof.tail_gens:
+            return LimReport(True, zero_module(M.ring), k0, "tower is pro-zero")
+        iso_ok, tail_mod = _mult_tail_iso(M, a, prof.tail_gens)
+        if iso_ok:
+            return LimReport(True, tail_mod, k0,
+                             "multiplication is invertible on the tail")
+        return LimReport(False, None, k0, "stabilized image, undecided lift")
+    if prof.status == "strict_forever":
+        sep = is_separated(M, [a], budgets)
+        if sep.holds():
+            return LimReport(True, zero_module(M.ring), None,
+                             "separated module: no divisible families")
+        if sep.fails():
+            return LimReport(False, None, None,
+                             "nonzero divisible families exist")
+    return LimReport(False, None, None, "undecided within budget")
+
+
+def _lim1(T: Tower, prof: ChainProfile, window: int,
+          budgets: Budgets) -> Verdict:
+    """Vanishing of lim^1 of T read from the chain profile of its ideal:
+    Mittag-Leffler, or its failure by Gray's dichotomy."""
+    budget = {**budgets.as_dict(), "window": min(window, T.depth)}
+    if T.kind == "quotient":
+        return verdicts.holds({"kind": "mittag_leffler",
+                               "note": "surjective transitions"}, budget)
+    if prof.status == "stabilized":
+        return verdicts.holds({"kind": "mittag_leffler",
+                               "note": "images stabilize",
+                               "index": prof.stabilized_at}, budget)
+    if prof.status == "strict_forever":
+        return verdicts.fails(
+            {"kind": "mittag_leffler_failure",
+             "certificate": prof.certificate,
+             "note": "images never stabilize; countable tower, so lim^1 "
+                     "is nonzero (Gray dichotomy)"}, budget)
+    return verdicts.unknown(budget)
 
 
 def lim_tower(T: Tower, window: int | None = None,
               budgets: Budgets = DEFAULT_BUDGETS):
     """(lim report, lim^1 vanishing verdict) for the materialized window."""
     window = window if window is not None else budgets.window
-    window = min(window, T.depth)
-    budget = {**budgets.as_dict(), "window": window}
-    if T.kind == "quotient":
-        M, gens = T.meta["module"], T.meta["gens"]
-        prof = chain_profile(M, gens, budgets)
-        lim1 = verdicts.holds({"kind": "mittag_leffler",
-                               "note": "surjective transitions"}, budget)
-        if prof.status == "stabilized":
-            k0 = prof.stabilized_at
-            value = T.stage(min(k0, T.depth))
-            return (LimReport(True, value, k0, "tower stabilizes"), lim1)
-        note = ("strictly descending forever" if prof.status == "strict_forever"
-                else "undecided within budget")
-        return LimReport(False, None, None, note), lim1
-    if T.kind == "multiplication":
-        M, a = T.meta["module"], T.meta["elem"]
-        prof = chain_profile(M, [a], budgets)
-        if prof.status == "stabilized":
-            iso_ok, tail_mod = _mult_tail_iso(M, a, prof.tail_gens)
-            lim1 = verdicts.holds(
-                {"kind": "mittag_leffler",
-                 "note": "images stabilize", "index": prof.stabilized_at},
-                budget)
-            if not prof.tail_gens:
-                return (LimReport(True, zero_module(M.ring),
-                                  prof.stabilized_at, "tower is pro-zero"),
-                        lim1)
-            if iso_ok:
-                return (LimReport(True, tail_mod, prof.stabilized_at,
-                                  "multiplication is invertible on the tail"),
-                        lim1)
-            return (LimReport(False, None, prof.stabilized_at,
-                              "stabilized image, undecided lift"), lim1)
-        if prof.status == "strict_forever":
-            lim1 = verdicts.fails(
-                {"kind": "mittag_leffler_failure",
-                 "certificate": prof.certificate,
-                 "note": "images never stabilize; countable tower, so lim^1 "
-                         "is nonzero (Gray dichotomy)"}, budget)
-            sep = is_separated(M, [a], budgets)
-            if sep.holds():
-                return (LimReport(True, zero_module(M.ring), None,
-                                  "separated module: no divisible families"),
-                        lim1)
-            if sep.fails():
-                return (LimReport(False, None, None,
-                                  "nonzero divisible families exist"), lim1)
-            return (LimReport(False, None, None, "undecided"), lim1)
-    return (LimReport(False, None, None, "undecided within budget"),
-            verdicts.unknown(budget))
+    prof = chain_profile(T.module, T.gens, budgets)
+    return _limit(T, prof, budgets), _lim1(T, prof, window, budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +494,16 @@ def is_separated(M, gens, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
 def ext1_vanishing_tower(M: FPModule, a: RingElem,
                          budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
     """lim^1 vanishing of the multiplication tower (M, *a)."""
-    _, lim1 = lim_tower(multiplication_tower(M, a, budgets.depth), budgets.window,
-                        budgets)
-    return lim1
+    T = multiplication_tower(M, a, budgets.depth)
+    return _lim1(T, chain_profile(M, T.gens, budgets), budgets.window,
+                 budgets)
 
 
 def ext0_vanishing_tower(M: FPModule, a: RingElem,
                          budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
     """lim vanishing of the multiplication tower (M, *a)."""
-    rep, _ = lim_tower(multiplication_tower(M, a, budgets.depth), budgets.window,
-                       budgets)
+    T = multiplication_tower(M, a, budgets.depth)
+    rep = _limit(T, chain_profile(M, T.gens, budgets), budgets)
     budget = budgets.as_dict()
     if rep.decisive and rep.value is not None:
         if rep.value.is_zero():
@@ -532,8 +524,7 @@ def is_complete(M, gens, budgets: Budgets = DEFAULT_BUDGETS,
 
     refutations: "all" allows both the localization-Ext route and the
     non-stabilization route; "nonstab" restricts to stabilization-family
-    certificates (used by checkers that must avoid circularity); "none"
-    decides only via stabilization at zero."""
+    certificates (used by checkers that must avoid circularity)."""
     if isinstance(M, DecayModule):
         return _decay_complete(M, gens, budgets)
     budget = budgets.as_dict()
@@ -553,10 +544,8 @@ def is_complete(M, gens, budgets: Budgets = DEFAULT_BUDGETS,
             "stabilized_at": prof.stabilized_at,
             "note": "nonzero stable submodule is the kernel of the "
                     "completion comparison"}, budget)
-    if refutations not in ("all", "nonstab", "none"):
+    if refutations not in ("all", "nonstab"):
         raise BudgetExceeded(f"unknown refutation family {refutations!r}")
-    if refutations == "none":
-        return verdicts.unknown(budget)
     sep = is_separated(M, gens, budgets)
     if sep.fails():
         return verdicts.fails({

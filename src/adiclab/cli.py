@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .adic import (Budgets, completion_tower, is_complete, is_separated,
-                   lim_tower, memo_scope)
+                   lim_tower, memo_scope, multiplication_tower)
 from .complexes import BoundedComplex
 from .derived import ext_localization, is_cohomologically_complete
 from .errors import AdicLabError, ParseError, TaskError, UnknownProfile
@@ -77,7 +77,7 @@ class Instance:
 def _parse_module(ring, data, path) -> FPModule:
     _check_keys(data, ["ambient_rank"], ["relations", "grading"], path)
     n = data["ambient_rank"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ParseError(path, "ambient_rank must be a nonnegative integer")
     rels = []
     for i, row in enumerate(data.get("relations", [])):
@@ -150,6 +150,14 @@ _TASK_SCHEMAS = {
     "lim_tower": (["module"], ["ideal", "element", "kind"]),
 }
 
+# The values an enumerated task field may take.
+_TASK_CHOICES = {
+    "is_cohomologically_complete": {
+        "route": ("auto", "tower", "telescope", "joint_chain")},
+    "ext_localization": {"route": ("both", "tower", "telescope")},
+    "lim_tower": {"kind": ("quotient", "multiplication")},
+}
+
 _BUDGET_FIELDS = tuple(Budgets().as_dict())
 
 
@@ -181,7 +189,7 @@ def parse_instance(data, path="$") -> Instance:
         mpath = f"{path}.maps.{name}"
         _check_keys(mdata, ["variables", "images"], ["kernel"], mpath)
         nvars = mdata["variables"]
-        if not isinstance(nvars, int) or not 1 <= nvars <= 4:
+        if not _is_int(nvars) or not 1 <= nvars <= 4:
             raise ParseError(mpath, "variables must be between 1 and 4")
         src = ring_polynomial(ring_integers(),
                               tuple(f"t{i+1}" for i in range(nvars)))
@@ -204,9 +212,18 @@ def parse_instance(data, path="$") -> Instance:
             raise ParseError(tpath, f"unknown command {cmd!r}")
         req, opt = _TASK_SCHEMAS[cmd]
         _check_keys(task, ["command"] + req, opt + ["budgets"], tpath)
-        for key in ("support", "precision", "depth"):
+        for key in ("support", "precision", "depth", "index", "b_index"):
             if key in task and not _is_int(task[key]):
                 raise ParseError(f"{tpath}.{key}", "expected an integer")
+        for key, allowed in _TASK_CHOICES.get(cmd, {}).items():
+            if key in task and task[key] not in allowed:
+                raise ParseError(f"{tpath}.{key}",
+                                 f"expected one of {', '.join(allowed)}")
+        if cmd == "lim_tower":
+            need = ("element" if task.get("kind") == "multiplication"
+                    else "ideal")
+            if need not in task:
+                raise ParseError(tpath, f"missing required field {need!r}")
         if "budgets" in task:
             _check_keys(task["budgets"], [], _BUDGET_FIELDS, f"{tpath}.budgets")
             for key, val in task["budgets"].items():
@@ -230,7 +247,7 @@ def parse_instance(data, path="$") -> Instance:
         if "map" in task and task["map"] not in maps:
             raise ParseError(f"{tpath}.map", f"undeclared map {task['map']!r}")
     seed = data.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise ParseError(f"{path}.seed", "seed must be an integer")
     return Instance(ring, modules, complexes, ideals, maps, list(tasks), seed)
 
@@ -350,8 +367,7 @@ def run_task(inst: Instance, task: dict, budgets: Budgets) -> dict:
                 "budgets": b.as_dict()}
     if cmd == "lim_tower":
         M = inst.modules[task["module"]]
-        if task.get("kind", "quotient") == "multiplication":
-            from .adic import multiplication_tower
+        if task.get("kind") == "multiplication":
             elem = parse_element(inst.ring, task["element"])
             T = multiplication_tower(M, elem, b.depth)
         else:

@@ -223,6 +223,8 @@ def ext_localization(index: int, a: RingElem, M,
     requires agreement."""
     if index not in (0, 1):
         raise BudgetExceeded("only indices 0 and 1 are meaningful here")
+    if route not in ("both", "tower", "telescope"):
+        raise BudgetExceeded(f"unknown route {route!r}")
     if isinstance(M, DecayModule):
         M = M.avatar()
     budget = budgets.as_dict()

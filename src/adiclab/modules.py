@@ -493,8 +493,8 @@ def hom_is_injective(f: ModuleHom) -> bool:
 
 
 def hom_is_surjective(f: ModuleHom) -> bool:
-    _, coker, _ = image_coker(f)
-    return coker.is_zero()
+    cols = [f.column(j) for j in range(f.source.ambient_rank)]
+    return quotient_module(f.target, cols).is_zero()
 
 
 def hom_is_iso(f: ModuleHom) -> bool:

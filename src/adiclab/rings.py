@@ -77,11 +77,6 @@ class IntegerScalars:
     def is_unit(self, a):
         return a in (1, -1)
 
-    def inv(self, a):
-        if not self.is_unit(a):
-            raise DivisionByZero(f"{a} is not an integer unit")
-        return a
-
     def divstep(self, a, b):
         if b == 0:
             raise DivisionByZero("integer division by zero")
@@ -143,18 +138,8 @@ class RationalScalars:
             raise DivisionByZero("division by zero")
         return (Fraction(a) / b, Fraction(0))
 
-    def gcdex(self, a, b):
-        if a != 0:
-            return Fraction(1), self.inv(a), Fraction(0)
-        if b != 0:
-            return Fraction(1), Fraction(0), self.inv(b)
-        return Fraction(0), Fraction(0), Fraction(0)
-
     def normalizer(self, a):
         return self.inv(a) if a != 0 else Fraction(1)
-
-    def size(self, a):
-        return 0 if a == 0 else 1
 
 
 class PrimeFieldScalars:
@@ -200,18 +185,8 @@ class PrimeFieldScalars:
             raise DivisionByZero("division by zero")
         return (a * self.inv(b) % self.p, 0)
 
-    def gcdex(self, a, b):
-        if a % self.p:
-            return 1, self.inv(a), 0
-        if b % self.p:
-            return 1, 0, self.inv(b)
-        return 0, 0, 0
-
     def normalizer(self, a):
         return self.inv(a) if a % self.p else 1
-
-    def size(self, a):
-        return 0 if a % self.p == 0 else 1
 
 
 INTEGER_SCALARS = IntegerScalars()
@@ -512,11 +487,9 @@ class RingElem:
         if self.ring.kind == POWER_SERIES:
             # unit iff the constant term is nonzero
             return (0,) in self.terms
-        if self.ring.kind == POLYNOMIAL:
-            z = (0,) * self.ring.nvars
-            return set(self.terms) == {z} and dom.is_unit(self.terms[z])
-        # quotient rings: membership of 1 in (self) would be needed; callers
-        # that rely on unit detection over quotients test explicitly
+        # a nonzero constant: exactly the units of a polynomial ring; over a
+        # quotient the rest needs membership of 1 in (self), so callers that
+        # rely on unit detection there test explicitly
         z = (0,) * self.ring.nvars
         return set(self.terms) == {z} and dom.is_unit(self.terms[z])
 

@@ -191,6 +191,33 @@ def test_ext_tower_verdicts():
     assert ext1_vanishing_tower(Z, ZZ.from_int(2), B).fails()
 
 
+def test_ext1_reads_only_the_chain_profile(monkeypatch):
+    # over Z/3 the chain stabilizes with a nonzero tail, over Z it descends
+    # forever: the limit reader checks the tail map or separatedness there,
+    # the lim^1 reader needs neither
+    def unreachable(*args):
+        raise AssertionError("lim^1 built part of the limit")
+
+    monkeypatch.setattr(adic, "_mult_tail_iso", unreachable)
+    monkeypatch.setattr(adic, "is_separated", unreachable)
+    two = ZZ.from_int(2)
+    for M in (cyclic_module(ZZ, ZZ.from_int(3)), free_module(ZZ, 1)):
+        assert ext1_vanishing_tower(M, two, B).decisive
+        with pytest.raises(AssertionError):
+            ext0_vanishing_tower(M, two, B)
+
+
+def test_tower_is_a_value():
+    M = cyclic_module(ZZ, ZZ.from_int(12))
+    two = ZZ.from_int(2)
+    T = completion_tower(M, [two, ZZ.zero()], depth=5)
+    assert T == adic.Tower("quotient", M, (two,), 5)
+    assert multiplication_tower(M, two, 5) == adic.Tower(
+        "multiplication", M, (two,), 5)
+    with pytest.raises(ValueError):
+        adic.Tower("sideways", M, (two,), 5)
+
+
 def test_completion_idempotent_on_stabilized():
     M = cyclic_module(ZZ, ZZ.from_int(12))
     prof = chain_profile(M, [ZZ.from_int(2)], B)

@@ -195,11 +195,37 @@ def _grading_string():
     return data
 
 
+def _edited(data, edit):
+    edit(data)
+    return data
+
+
+def _lemma5(**fields):
+    data = generate_instances(1, 1, "lemma5")[0]
+    data["tasks"][0].update(fields)
+    return data
+
+
+def _z12_task(**task):
+    return _edited(z12_instance(), lambda d: d.update(tasks=[
+        {"module": "M", **task}]))
+
+
 @pytest.mark.parametrize("data, position", [
     (_with_task(budgets={"depth": "x"}), "$.tasks[0].budgets.depth"),
     (_with_task(budgets={"dept": 3}), "$.tasks[0].budgets: unknown fields"),
     (_example1_support_string(), "$.tasks[0].support"),
     (_grading_string(), "$.modules.M.grading"),
+    (_lemma5(b_index="x"), "$.tasks[0].b_index: expected an integer"),
+    (_z12_task(command="ext_localization", index=True, element="2"),
+     "$.tasks[0].index: expected an integer"),
+    (_edited(z12_instance(),
+             lambda d: d["modules"]["M"].update(ambient_rank=True)),
+     "$.modules.M: ambient_rank must be"),
+    (_edited(_lemma5(), lambda d: d["maps"]["f"].update(variables=True)),
+     "$.maps.f: variables must be"),
+    (_edited(z12_instance(), lambda d: d.update(seed=True)),
+     "$.seed: seed must be an integer"),
 ])
 def test_malformed_numeric_field_is_parse_error(tmp_path, capsys, data,
                                                 position):
@@ -207,6 +233,27 @@ def test_malformed_numeric_field_is_parse_error(tmp_path, capsys, data,
     f.write_text(json.dumps(data), encoding="utf-8")
     assert main(["run", str(f)]) == EXIT_USAGE
     assert position in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, position", [
+    (_z12_task(command="lim_tower"),
+     "$.tasks[0]: missing required field 'ideal'"),
+    (_z12_task(command="lim_tower", kind="multiplication", ideal="a"),
+     "$.tasks[0]: missing required field 'element'"),
+    (_z12_task(command="lim_tower", kind="sideways", ideal="a"),
+     "$.tasks[0].kind: expected one of quotient, multiplication"),
+    (_z12_task(command="ext_localization", index=1, element="2",
+               route="sideways"),
+     "$.tasks[0].route: expected one of both, tower, telescope"),
+    (_z12_task(command="is_cohomologically_complete", ideal="a",
+               route="both"),
+     "$.tasks[0].route: expected one of auto, tower, telescope, "
+     "joint_chain"),
+])
+def test_unknown_choice_or_missing_field_is_parse_error(tmp_path, capsys,
+                                                        data, position):
+    test_malformed_numeric_field_is_parse_error(tmp_path, capsys, data,
+                                                position)
 
 
 def test_module_entry_point_writes_nothing_to_stderr(child_env):

@@ -5,8 +5,7 @@ import pytest
 
 from adiclab.errors import BudgetExceeded, ParentMismatch
 from adiclab.modules import (FPModule, ModuleHom, compose, coordinates,
-                             cyclic_module, image_coker,
-                             direct_sum_module, free_module, hom_is_iso,
+                             cyclic_module, direct_sum_module, free_module, hom_is_iso,
                              ideal_power_act, identity_hom, image_coker,
                              kernel_hom, module_is_zero,
                              modules_equal, modules_isomorphic,

@@ -5,8 +5,9 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from adiclab.adic import (Budgets, chain_profile, is_complete, is_separated,
-                          memo_scope)
+from adiclab.adic import (Budgets, chain_profile, ext0_vanishing_tower,
+                          ext1_vanishing_tower, is_complete, is_separated,
+                          lim_tower, memo_scope, multiplication_tower)
 from adiclab.complexes import (BoundedComplex, ComplexMap, cohomology,
                                complex_from_module, hom_complex,
                                tensor_complex)
@@ -16,7 +17,8 @@ from adiclab.groebner import ModuleBasis
 from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec,
                              _engine_basis, _query_row, _vec_to_dict,
                              coordinates, cyclic_module, free_module,
-                             hom_is_injective, kernel_hom, lift_elem,
+                             hom_is_injective, hom_is_surjective,
+                             image_coker, kernel_hom, lift_elem,
                              modules_equal, modules_isomorphic,
                              std_basis, unit_vector, vec_add, vec_scale,
                              work_rows, zero_vector)
@@ -613,3 +615,58 @@ def _homs(draw):
 @given(_homs())
 def test_injectivity_by_kernel_rank_equals_kernel_is_zero(f):
     assert hom_is_injective(f) == kernel_hom(f)[0].is_zero()
+
+
+_TOWER_RINGS = [ZZ, ring_polynomial(QQ, ("x",)),
+                ring_polynomial(ring_prime_field(5), ("x", "y")),
+                ring_power_series(QQ, "t", 6)]
+
+
+@st.composite
+def _module_and_element(draw):
+    """A module of rank 1-2 with up to two relations and one ring element,
+    over ZZ, QQ[x], GF(5)[x,y] or QQ[[t]]/t^6; entries of one or two
+    terms keep the chains short, and two terms reach the ungraded cases."""
+    ring = draw(st.sampled_from(_TOWER_RINGS))
+
+    def element():
+        e = ring.zero()
+        for _ in range(draw(st.integers(1, 2))):
+            term = ring.from_int(draw(st.integers(-4, 4)))
+            for v in ring.vars:
+                term = term * ring.variable(v) ** draw(st.integers(0, 2))
+            e = e + term
+        return e
+
+    rank = draw(st.integers(1, 2))
+    M = FPModule(ring, rank, [tuple(element() for _ in range(rank))
+                              for _ in range(draw(st.integers(0, 2)))])
+    return M, element()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_module_and_element())
+def test_direct_tower_readers_equal_the_composed_path(case):
+    M, a = case
+    # a window past the depth, so the verdicts' budgets show the clamp
+    b = Budgets(depth=4, window=6)
+    T = multiplication_tower(M, a, b.depth)
+    rep, lim1 = lim_tower(T, b.window, b)
+    assert ext1_vanishing_tower(M, a, b) == lim1
+    ext0 = ext0_vanishing_tower(M, a, b)
+    if rep.decisive and rep.value is not None:
+        assert ext0.status == ("holds" if rep.value.is_zero() else "fails")
+    elif rep.note == "nonzero divisible families exist":
+        assert ext0.fails()
+    else:
+        assert not ext0.decisive
+    assert (ext0.certificate or ext0.witness or {}).get("note",
+                                                        rep.note) == rep.note
+    mult = T.transition(0)
+    assert hom_is_surjective(mult) == image_coker(mult)[1].is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_homs())
+def test_surjectivity_by_quotient_equals_cokernel_is_zero(f):
+    assert hom_is_surjective(f) == image_coker(f)[1].is_zero()
