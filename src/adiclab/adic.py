@@ -13,6 +13,20 @@ budget runs out.  Forever-certificates come from three sound sources:
 * Nilpotency tests by localization: a acts nilpotently on M iff M with a
   inverted collapses, a finite Groebner membership computation.
 
+The analysis builds only the canonical bases that decide it.  Write
+S_k = a^k F + R for the preimage of a^k M in the free module F over the
+relations R.  In order: a zero module stabilizes at 0; S_1 = S_0 (S_0 is F,
+whose canonical basis is the unit vectors) stabilizes at 0; then the
+strict-descent certificates run, the Euclidean one only when M has a free
+summand (read off the relations basis) and graded Nakayama over graded
+rings; then, for a principal ideal over any other ring, one depth probe
+compares S_d with S_(d+1) at d = depth, since S_k = S_(k+1) implies
+S_(k+1) = S_(k+2) and so the walk can only succeed when they agree; then
+the walk from S_1 finds the least stable index, stopping at the chain's
+limit when the probe or the nilpotency tests gave it; and last the
+certificates for chains the budget did not settle.  Each shortcut returns
+what the full walk followed by the certificates would have returned.
+
 Failure verdicts for lim^1 (and for completeness via non-stabilizing
 towers) additionally use that every supported ring is countable: a strictly
 descending surjective tower of countable modules has an uncountable limit,
@@ -46,6 +60,12 @@ class Budgets:
     window: int = 8        # materialized window for limit reports
     stages: int = 8        # telescope stage
     stab_window: int = 2   # consecutive decisive stages required for Holds
+
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if value < 0:
+                raise ValueError(f"budget {name} must be nonnegative, "
+                                 f"got {value}")
 
     def as_dict(self):
         return {"depth": self.depth, "window": self.window,
@@ -83,10 +103,14 @@ def _gens_valid(M: FPModule, gens):
     return [a for a in gens if not a.is_zero()]
 
 
+def _span_basis(M: FPModule, vectors):
+    """Standard basis of the span of the vectors and the relations."""
+    return std_basis(list(vectors) + list(M.relations), M.ring,
+                     ambient_rank=M.ambient_rank)
+
+
 def _canonical_span(M: FPModule, vectors):
-    sb = std_basis(list(vectors) + list(M.relations), M.ring,
-                   ambient_rank=M.ambient_rank)
-    return sb.generators
+    return _span_basis(M, vectors).generators
 
 
 def _filter_mod_relations(M: FPModule, vectors):
@@ -185,16 +209,10 @@ def _graded_positive(M: FPModule, gens) -> bool:
 
 
 def nilpotent_on_module(a: RingElem, M: FPModule) -> bool | None:
-    """Does a act nilpotently on M?  Decided by collapsing M[1/a];
-    None when the ring is outside the decidable set."""
+    """Does a act nilpotently on M?  Decided by collapsing M[1/a] over a
+    polynomial work ring; None over any other ring."""
     ring = M.ring
     w = ring.work
-    if w.nvars == 0:
-        # scalar rings are Euclidean; the chain analysis handles them
-        prof = chain_profile(M, [a], DEFAULT_BUDGETS)
-        if prof.status == "stabilized":
-            return not prof.tail_gens
-        return False if prof.status == "strict_forever" else None
     if w.kind != POLYNOMIAL:
         return None
     name = "zloc"
@@ -261,42 +279,78 @@ def _chain_profile(M: FPModule, gens, budgets: Budgets) -> ChainProfile:
     if M.is_zero():
         return ChainProfile("stabilized", 0, (), {"kind": "zero_module"},
                             False, budget)
-    # direct iteration up to the depth budget
+    # S_k = a^k F + R, read through canonical bases; S_0 is all of F, whose
+    # canonical basis is the unit vectors
+    n = M.ambient_rank
     cur = _canonical_span(M, ideal_power_gens(gens, 1, M) if gens else [])
-    prev = _canonical_span(M, ideal_power_gens(gens, 0, M))
-    if cur == prev:
-        tail = _filter_mod_relations(M, cur)
-        return ChainProfile("stabilized", 0, tuple(tail),
-                            {"kind": "chain_iteration", "index": 0},
-                            bool(tail), budget)
-    for k in range(1, budgets.depth + 1):
-        nxt_gens = [tuple(a * e for e in v) for v in cur for a in gens]
-        nxt = _canonical_span(M, nxt_gens)
+    if cur == tuple(unit_vector(M.ring, n, i) for i in range(n)):
+        return _iterated(M, cur, 0, budget)
+    # strict-descent certificates: such a chain never has S_k = S_(k+1), so
+    # the walk would end in the same certificate
+    euclid = euclidean_capable(M.ring)
+    if euclid and gens and _free_rank(M):
+        return _euclid_chain(M, gens, budgets)
+    nilpotent = False
+    if not euclid and _graded_positive(M, gens):
+        nilpotent = True
+        for a in gens:
+            nil = nilpotent_on_module(a, M)
+            if nil is False:
+                return ChainProfile(
+                    "strict_forever", None, (),
+                    {"kind": "graded_nakayama",
+                     "non_nilpotent_generator": element_to_str(a),
+                     "note": "graded chain stabilizes only at zero"},
+                    False, budget)
+            nilpotent = nilpotent and nil is True
+    # S_k = S_(k+1) exactly when S_k is the limit of the chain; `limit` is
+    # its canonical basis once known, so the walk needs no step past it
+    limit = None
+    depth = budgets.depth
+    if nilpotent:
+        # a^k M = 0 for some k, and there S_k = R
+        limit = M.relations_basis().generators
+    elif not euclid and len(gens) == 1 and depth:
+        # one depth probe: S_k = S_(k+1) implies S_(k+1) = S_(k+2), so the
+        # walk succeeds iff S_d = S_(d+1) at d = depth, that is, iff
+        # S_(d+1), a submodule of S_d, holds the generators of S_d
+        deeper = _span_basis(M, ideal_power_gens(gens, depth + 1, M))
+        if all(map(deeper.contains, ideal_power_gens(gens, depth, M))):
+            limit = deeper.generators
+        else:
+            depth = 0
+    for k in range(1, depth + 1):
+        if cur == limit:
+            return _iterated(M, cur, k, budget)
+        nxt = _canonical_span(M, [tuple(a * e for e in v)
+                                  for v in cur for a in gens])
         if nxt == cur:
-            tail = _filter_mod_relations(M, cur)
-            return ChainProfile("stabilized", k, tuple(tail),
-                                {"kind": "chain_iteration", "index": k},
-                                bool(tail), budget)
+            return _iterated(M, cur, k, budget)
         cur = nxt
     # certificates beyond the budget
-    if euclidean_capable(M.ring):
+    if euclid:
         return _euclid_chain(M, gens, budgets)
-    if _graded_positive(M, gens):
-        nil = [nilpotent_on_module(a, M) for a in gens]
-        if all(x is True for x in nil):
-            # nilpotent but deeper than the budget
-            return ChainProfile("unknown", None, (), {
-                "kind": "nilpotent_beyond_budget"}, None, budget)
-        if any(x is False for x in nil):
-            return ChainProfile(
-                "strict_forever", None, (),
-                {"kind": "graded_nakayama",
-                 "non_nilpotent_generator": element_to_str(
-                     gens[nil.index(False)]),
-                 "note": "graded chain stabilizes only at zero"},
-                False, budget)
+    if nilpotent:
+        # nilpotent but deeper than the budget
+        return ChainProfile("unknown", None, (), {
+            "kind": "nilpotent_beyond_budget"}, None, budget)
     return ChainProfile("unknown", None, (), {"kind": "budget_exhausted"},
                         None, budget)
+
+
+def _iterated(M: FPModule, span, k: int, budget: dict) -> ChainProfile:
+    """The chain stabilizes at k with S_k spanned by `span`."""
+    tail = tuple(_filter_mod_relations(M, span))
+    return ChainProfile("stabilized", k, tail,
+                        {"kind": "chain_iteration", "index": k},
+                        bool(tail), budget)
+
+
+def _free_rank(M: FPModule) -> int:
+    """Free rank of M over a Euclidean-capable ring: the ambient rank less
+    the positions that lead a row of the position-over-term relations
+    basis."""
+    return M.ambient_rank - len(M.relations_basis().lead_positions())
 
 
 # ---------------------------------------------------------------------------

@@ -785,6 +785,21 @@ def _collect(files, results):
     return reports
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {value}")
+        return value
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="adiclab",
@@ -793,14 +808,14 @@ def main(argv=None) -> int:
 
     runp = sub.add_parser("run", help="execute instance files")
     runp.add_argument("files", nargs="+")
-    runp.add_argument("--precision", type=int, default=16,
+    runp.add_argument("--precision", type=_int_at_least(0), default=16,
                       help="tower depth budget")
-    runp.add_argument("--stages", type=int, default=8,
+    runp.add_argument("--stages", type=_int_at_least(0), default=8,
                       help="telescope stage budget")
-    runp.add_argument("--window", type=int, default=2,
+    runp.add_argument("--window", type=_int_at_least(0), default=2,
                       help="stabilization window")
     runp.add_argument("--format", choices=["text", "machine"], default="text")
-    runp.add_argument("--jobs", type=int, default=1)
+    runp.add_argument("--jobs", type=_int_at_least(1), default=1)
 
     genp = sub.add_parser("generate", help="emit a deterministic corpus")
     genp.add_argument("--seed", type=int, required=True)

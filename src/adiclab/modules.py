@@ -143,6 +143,11 @@ class StdBasis:
         return self._mb.contains(
             _query_row(self.ring, self.ambient_rank, vec))[0]
 
+    def lead_positions(self) -> frozenset:
+        """Positions that hold the leading term of a basis row, counting the
+        rows of the structural relations, which `generators` omits."""
+        return frozenset(self._mb.index)
+
     def normal_form(self, vec):
         """Canonical representative of vec modulo the span."""
         nf = self._mb.normal_form(_query_row(self.ring, self.ambient_rank, vec))

@@ -240,6 +240,14 @@ def test_surjectivity_preserved_at_each_stage():
         assert hom_is_surjective(f)
 
 
+@pytest.mark.parametrize("field", ["depth", "window", "stages",
+                                   "stab_window"])
+def test_negative_budget_is_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        Budgets(**{field: -1})
+    assert Budgets(**{field: 0}).as_dict()[field] == 0
+
+
 def test_nilpotency_oracle():
     x, y = QXY.variable("x"), QXY.variable("y")
     M = cyclic_module(QXY, x)

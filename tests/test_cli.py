@@ -104,6 +104,29 @@ def test_exit_codes(tmp_path):
     assert main(["run", str(missing)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--precision", "-1"), ("--stages", "-2"), ("--window", "-1"),
+    ("--jobs", "0"), ("--jobs", "-3"), ("--jobs", "two")])
+def test_bad_budget_or_jobs_flag_is_usage_error(tmp_path, capsys, flag,
+                                                value):
+    f = tmp_path / "z12.json"
+    f.write_text(json.dumps(z12_instance()), encoding="utf-8")
+    code = main(["run", str(f), str(f), flag, value, "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
+
+
+def test_zero_precision_is_a_budget(tmp_path, capsys):
+    f = tmp_path / "z12.json"
+    f.write_text(json.dumps(z12_instance()), encoding="utf-8")
+    code = main(["run", str(f), "--precision", "0", "--format", "machine"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == rep["exit_status"]
+    assert rep["tasks"][0]["budgets"]["depth"] == 0
+
+
 def test_example1_demo_file(tmp_path, capsys):
     data = generate_instances(1, 1, "example1")[0]
     f = tmp_path / "ex1.json"

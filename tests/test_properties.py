@@ -3,11 +3,14 @@ import dataclasses
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from adiclab.adic import (Budgets, chain_profile, ext0_vanishing_tower,
-                          ext1_vanishing_tower, is_complete, is_separated,
-                          lim_tower, memo_scope, multiplication_tower)
+from adiclab import adic
+from adiclab.adic import (Budgets, ChainProfile, chain_profile,
+                          ext0_vanishing_tower, ext1_vanishing_tower,
+                          is_complete, is_separated, lim_tower, memo_scope,
+                          multiplication_tower, nilpotent_on_module)
 from adiclab.complexes import (BoundedComplex, ComplexMap, cohomology,
                                complex_from_module, hom_complex,
                                tensor_complex)
@@ -16,14 +19,16 @@ from adiclab.derived import is_cohomologically_complete, telescope_stage
 from adiclab.groebner import ModuleBasis
 from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec,
                              _engine_basis, _query_row, _vec_to_dict,
-                             coordinates, cyclic_module, free_module,
-                             hom_is_injective, hom_is_surjective,
+                             coordinates, cyclic_module, euclidean_capable,
+                             free_module, hom_is_injective,
+                             hom_is_surjective, ideal_power_gens,
                              image_coker, kernel_hom, lift_elem,
                              modules_equal, modules_isomorphic,
-                             std_basis, unit_vector, vec_add, vec_scale,
-                             work_rows, zero_vector)
+                             std_basis, unit_vector, vec_add, vec_is_zero,
+                             vec_scale, work_rows, zero_vector)
 from adiclab.rings import (IntegerScalars, PrimeFieldScalars, RationalScalars,
-                           RingElem, elem_divstep, make_ring, parse_element,
+                           RingElem, elem_divstep, element_to_str,
+                           make_ring, parse_element,
                            ring_integers, ring_polynomial, ring_prime_field,
                            ring_power_series, ring_quotient, ring_rationals,
                            ring_to_desc)
@@ -670,3 +675,175 @@ def test_direct_tower_readers_equal_the_composed_path(case):
 @given(_homs())
 def test_surjectivity_by_quotient_equals_cokernel_is_zero(f):
     assert hom_is_surjective(f) == image_coker(f)[1].is_zero()
+
+
+def _walked_chain_profile(M, gens, budgets):
+    """The chain analysis as a plain walk: S_k = a^k F + R from S_0 = F up
+    to the depth budget, then the certificates for what it left open."""
+    gens = [a for a in gens if not a.is_zero()]
+    budget = budgets.as_dict()
+    if M.is_zero():
+        return ChainProfile("stabilized", 0, (), {"kind": "zero_module"},
+                            False, budget)
+
+    def span(vectors):
+        return std_basis(list(vectors) + list(M.relations), M.ring,
+                         M.ambient_rank).generators
+
+    def stabilized(k, basis):
+        tail = tuple(v for v in map(M.normal_form, basis)
+                     if not vec_is_zero(v))
+        return ChainProfile("stabilized", k, tail,
+                            {"kind": "chain_iteration", "index": k},
+                            bool(tail), budget)
+
+    prev = span(ideal_power_gens(gens, 0, M))
+    cur = span(ideal_power_gens(gens, 1, M) if gens else [])
+    if cur == prev:
+        return stabilized(0, cur)
+    for k in range(1, budgets.depth + 1):
+        nxt = span([tuple(a * e for e in v) for v in cur for a in gens])
+        if nxt == cur:
+            return stabilized(k, cur)
+        cur = nxt
+    if euclidean_capable(M.ring):
+        return adic._euclid_chain(M, gens, budgets)
+    if adic._graded_positive(M, gens):
+        nil = [nilpotent_on_module(a, M) for a in gens]
+        if all(x is True for x in nil):
+            return ChainProfile("unknown", None, (), {
+                "kind": "nilpotent_beyond_budget"}, None, budget)
+        if False in nil:
+            return ChainProfile(
+                "strict_forever", None, (),
+                {"kind": "graded_nakayama",
+                 "non_nilpotent_generator": element_to_str(
+                     gens[nil.index(False)]),
+                 "note": "graded chain stabilizes only at zero"},
+                False, budget)
+    return ChainProfile("unknown", None, (), {"kind": "budget_exhausted"},
+                        None, budget)
+
+
+ZT = ring_polynomial(ZZ, ("t",))
+QX = ring_polynomial(QQ, ("x",))
+QXY = ring_polynomial(QQ, ("x", "y"))
+KT4 = ring_power_series(QQ, "t", 4)
+# (ring, homogeneous, largest power, largest exponent): over QQ[x,y] a
+# homogeneous case draws monomial entries and relation rows with one nonzero
+# entry, so that module and ideal are graded and the nilpotency tests
+# decide; the other draws entries of up to two terms, which are mostly not
+# homogeneous.  Entries over ZZ[t] and QQ[x,y] are not raised to powers,
+# and QQ[x,y] exponents stay below 3: rank-two bases over ZZ[t] on cubes of
+# two-term entries, or over QQ[x,y] on two-term entries of degree 4, can
+# take seconds.
+_CHAIN_CASES = [(ZZ, False, 3, 0), (QQ, False, 3, 0),
+                (ring_prime_field(5), False, 3, 0), (QX, False, 3, 3),
+                (KT4, False, 3, 3), (ZT, False, 1, 3), (QXY, True, 1, 3),
+                (QXY, False, 1, 2)]
+
+
+@st.composite
+def _chains(draw):
+    """A module of rank 1-2 with up to two relations, an ideal of one or
+    two generators and a depth of 2-5, over the rings of every branch of
+    the chain analysis.  Entries are powers of small elements, so chains
+    that stabilize at exactly the depth or one past it are drawn."""
+    ring, homogeneous, power, degree = draw(st.sampled_from(_CHAIN_CASES))
+
+    def element():
+        e = ring.zero()
+        for _ in range(1 if homogeneous else draw(st.integers(1, 2))):
+            term = ring.from_int(draw(st.sampled_from((-3, -2, 1, 2, 4))))
+            for v in ring.vars:
+                term = term * ring.variable(v) ** draw(
+                    st.integers(0, degree))
+            e = e + term
+        return e ** draw(st.integers(1, power))
+
+    def row(rank):
+        if not homogeneous:
+            return tuple(element() for _ in range(rank))
+        at = draw(st.integers(0, rank - 1))
+        return tuple(element() if i == at else ring.zero()
+                     for i in range(rank))
+
+    rank = draw(st.integers(1, 2))
+    M = FPModule(ring, rank, [row(rank)
+                              for _ in range(draw(st.integers(0, 2)))])
+    gens = [element() for _ in range(draw(st.integers(1, 2)))]
+    return M, gens, Budgets(depth=draw(st.integers(2, 5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chains())
+def test_chain_profile_equals_the_walk(case):
+    assert chain_profile(*case) == _walked_chain_profile(*case)
+
+
+def _chain_boundaries():
+    """(label, module, ideal, k): the chain stabilizes at exactly k, which
+    the analysis must find at depth k and must hand to the certificates at
+    depth k - 1.  One case per branch: the Euclidean walk (ZZ, QQ[x] with
+    and without a free summand, QQ[[t]]/t^4), the zero ideal over fields,
+    the depth probe (ZZ[t], ungraded QQ[x,y]) and the nilpotent graded
+    chain (QQ[x,y])."""
+    two, t, x, y = (ZZ.from_int(2), ZT.variable("t"), QXY.variable("x"),
+                    QXY.variable("y"))
+    GF5 = ring_prime_field(5)
+    return [
+        ("ZZ", cyclic_module(ZZ, ZZ.from_int(24)), [two], 3),
+        ("QQ", free_module(QQ, 1), [QQ.zero()], 1),
+        ("GF5", free_module(GF5, 2), [GF5.zero()], 1),
+        ("QQ[x]", cyclic_module(QX, QX.variable("x") ** 3
+                                - QX.variable("x") ** 4),
+         [QX.variable("x")], 3),
+        ("QQ[[t]]/t^4", free_module(KT4, 1), [KT4.variable("t")], 4),
+        ("ZZ[t]", cyclic_module(ZT, t ** 3 + ZT.from_int(2) * t ** 4),
+         [t], 3),
+        ("QQ[x,y] graded", cyclic_module(QXY, x ** 3, y ** 3), [x * y], 3),
+        ("QQ[x,y] ungraded", cyclic_module(QXY, x ** 3, y - QXY.one()),
+         [x], 3),
+    ]
+
+
+@pytest.mark.parametrize("label,M,gens,k", _chain_boundaries(),
+                         ids=[c[0] for c in _chain_boundaries()])
+def test_chain_profile_at_its_depth_boundary(label, M, gens, k):
+    at = chain_profile(M, gens, Budgets(depth=k))
+    assert (at.status, at.stabilized_at, at.certificate) == (
+        "stabilized", k, {"kind": "chain_iteration", "index": k})
+    below = chain_profile(M, gens, Budgets(depth=k - 1))
+    assert below.certificate["kind"] != "chain_iteration"
+    for depth in (k - 1, k):
+        assert chain_profile(M, gens, Budgets(depth=depth)) == \
+            _walked_chain_profile(M, gens, Budgets(depth=depth))
+
+
+# QQ[[t]]/t^4 adds the structural rows t^4 e_i, which lead positions of
+# the relations basis without being rows of its public generators
+_FREE_RANK_RINGS = [ZZ, ring_prime_field(5), QX, KT4]
+
+
+@st.composite
+def _euclidean_modules(draw):
+    ring = draw(st.sampled_from(_FREE_RANK_RINGS))
+
+    def element():
+        e = ring.from_int(draw(st.integers(-4, 4)))
+        for v in ring.vars:
+            e = e * (ring.variable(v) + ring.from_int(
+                draw(st.integers(-1, 1)))) ** draw(st.integers(0, 2))
+        return e
+
+    rank = draw(st.integers(1, 3))
+    return FPModule(ring, rank, [tuple(element() for _ in range(rank))
+                                 for _ in range(draw(st.integers(0, 4)))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_euclidean_modules())
+def test_pivot_free_rank_equals_smith_free_rank(M):
+    rows = work_rows(M.ring, M.ambient_rank, M.relations)
+    rank = smith_normal_form(rows, M.ring.work)[2] if rows else 0
+    assert adic._free_rank(M) == M.ambient_rank - rank
