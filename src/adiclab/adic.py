@@ -127,15 +127,11 @@ def _elem_gcd(ring: RingSpec, elems):
     return g
 
 
-def _is_unit_in(public: RingSpec, g: RingElem) -> bool:
-    """Is the work-ring element g a unit of the public ring?"""
-    if public.kind == POWER_SERIES:
-        return (0,) in g.terms
-    return g.is_unit()
-
-
 def _euclid_chain(M: FPModule, gens, budgets: Budgets):
-    """Closed-form chain analysis over Euclidean-capable rings.
+    """Closed-form chain analysis over Euclidean-capable rings, for a
+    proper ideal of a nonzero module: S_1 = a F + R is not all of F.
+    `gens` holds no zero generator, and is empty (the zero ideal) only when
+    a depth budget of 0 left the chain to this analysis.
 
     The tail generators are the saturated pieces of the torsion summands:
     the stabilized submodule when the chain stabilizes, and nonzero
@@ -157,16 +153,9 @@ def _euclid_chain(M: FPModule, gens, budgets: Budgets):
     k0 = 0
     if g.is_zero():
         # zero ideal: a^k M = 0 for k >= 1
-        return ChainProfile("stabilized", 0 if M.is_zero() else 1, (),
+        return ChainProfile("stabilized", 1, (),
                             {**info, "note": "zero ideal"}, False,
                             budgets.as_dict())
-    if _is_unit_in(ring, g):
-        tail = [unit_vector(ring, M.ambient_rank, i)
-                for i in range(M.ambient_rank)]
-        tail = _filter_mod_relations(M, tail)
-        return ChainProfile("stabilized", 0, tuple(tail),
-                            {**info, "note": "unit ideal"},
-                            bool(tail), budgets.as_dict())
     for i, d in enumerate(factors):
         if d.is_unit():
             continue
@@ -243,7 +232,7 @@ _MEMO: ContextVar[dict | None] = ContextVar("adiclab_memo", default=None)
 
 @contextmanager
 def memo_scope():
-    """Memoise chain analyses for the duration of one instance.
+    """Memoise analyses for the duration of one instance.
 
     A nested scope reuses the outer memo; leaving the outermost scope drops
     it.  Usable as a decorator as well as a context manager."""
@@ -257,20 +246,26 @@ def memo_scope():
         _MEMO.reset(token)
 
 
+def memoised(key: tuple, compute, *args):
+    """compute(*args), once per key inside a `memo_scope` and afresh outside
+    one.  The key leads with a tag naming the analysis, so entries of
+    different analyses never collide; a raised exception is not stored."""
+    memo = _MEMO.get()
+    if memo is None:
+        return compute(*args)
+    if key not in memo:
+        memo[key] = compute(*args)
+    return memo[key]
+
+
 def chain_profile(M: FPModule, gens, budgets: Budgets = DEFAULT_BUDGETS) -> ChainProfile:
     """Certified analysis of the chain a^k M for the ideal a = (gens).
 
     Inside a `memo_scope` each (module, grading, ideal, budgets) is analysed
     once.  The grading is part of the key because module equality ignores
     it while the graded certificates read it."""
-    memo = _MEMO.get()
-    if memo is None:
-        return _chain_profile(M, gens, budgets)
-    key = (M, M.grading, tuple(gens), budgets)
-    prof = memo.get(key)
-    if prof is None:
-        prof = memo[key] = _chain_profile(M, gens, budgets)
-    return prof
+    return memoised(("chain_profile", M, M.grading, tuple(gens), budgets),
+                    _chain_profile, M, gens, budgets)
 
 
 def _chain_profile(M: FPModule, gens, budgets: Budgets) -> ChainProfile:

@@ -77,6 +77,10 @@ class BoundedComplex:
     # -- cohomology ---------------------------------------------------------
 
     def cohomology_data(self, j: int) -> "CohomologyData":
+        """H^j with its cocycle generators, computed once per complex.
+        Equal complexes built by separate calls do not share it; the
+        telescope analysis in `derived.ext_localization` is shared across
+        Ext indices by `adic.memo_scope` instead."""
         cache = object.__getattribute__(self, "_cohom")
         if j not in cache:
             cache[j] = _cohomology_data(self, j)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .adic import (Budgets, DEFAULT_BUDGETS, DecayModule, chain_profile,
                    ext0_vanishing_tower, ext1_vanishing_tower, is_separated,
-                   vec_strs)
+                   memo_scope, memoised, vec_strs)
 from .complexes import (BoundedComplex, ComplexMap, cohomology,
                         complex_from_module, hom_complex, hom_complex_map,
                         induced_cohomology_map, shift_complex,
@@ -167,9 +167,11 @@ class ExtApprox:
 
 
 def _telescope_ext(a: RingElem, M: FPModule, budgets: Budgets):
-    """Telescope-route Ext analysis: materialize two consecutive stage
-    cohomologies, verify the multiplication pattern of the restriction, and
-    run the chain analysis on the stage presentation itself.
+    """Telescope-route Ext analysis, the same for both indices: materialize
+    two consecutive stage cohomologies and verify the multiplication
+    pattern of the restriction.  Returns the stage values, the stage-N H^0
+    presentation P on which `ext_localization` runs the chain analysis (None
+    when the pattern is unverified), and the details of the checks.
 
     The materialized stage is capped so the Hom complexes stay at desk
     scale for wide modules; the stage used is recorded."""
@@ -220,7 +222,12 @@ def ext_localization(index: int, a: RingElem, M,
 
     route: "tower" uses the multiplication tower on M; "telescope" uses the
     stage cohomology of Hom(plus_part[1], M); "both" runs the two and
-    requires agreement."""
+    requires agreement.
+
+    Inside a `memo_scope` the telescope analysis and, on route "both", the
+    check that the last stage value is isomorphic to M run once per
+    (element, module, grading, budgets), so the two indices share them.
+    Each result carries its own `stages` and `details` dicts."""
     if index not in (0, 1):
         raise BudgetExceeded("only indices 0 and 1 are meaningful here")
     if route not in ("both", "tower", "telescope"):
@@ -239,7 +246,10 @@ def ext_localization(index: int, a: RingElem, M,
         stages = {k: M for k in range(budgets.stab_window)}
         return ExtApprox(index, element_to_str(a), stages, v, route)
 
-    stage_vals, P, details = _telescope_ext(a, M, budgets)
+    key = (a, M, M.grading, budgets)
+    stage_vals, P, details = memoised(("telescope_ext", *key),
+                                      _telescope_ext, a, M, budgets)
+    stage_vals, details = dict(stage_vals), dict(details)
     if P is None:
         tele = verdicts.unknown({**budget, "reason": "stage pattern unverified"})
     else:
@@ -255,8 +265,9 @@ def ext_localization(index: int, a: RingElem, M,
     if tele.decisive and tow.decisive:
         agreement = tele.status == tow.status
     # stagewise value comparison when invariants decide isomorphism
-    iso = modules_isomorphic(stage_vals[max(stage_vals)], M)
-    details["stage_value_matches_module"] = iso
+    details["stage_value_matches_module"] = memoised(
+        ("stage_value_matches_module", *key), modules_isomorphic,
+        stage_vals[max(stage_vals)], M)
     primary = tow if tow.decisive or not tele.decisive else tele
     return ExtApprox(index, element_to_str(a), stage_vals, primary, "both",
                      agreement, details)
@@ -367,6 +378,7 @@ def _joint_chain_cc(M: FPModule, gens, budgets: Budgets) -> Verdict:
     return verdicts.unknown(budget)
 
 
+@memo_scope()
 def is_cohomologically_complete(M, gens, budgets: Budgets = DEFAULT_BUDGETS,
                                 route: str = "auto") -> Verdict:
     """Decide invertibility of the derived completion comparison.

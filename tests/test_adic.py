@@ -328,6 +328,27 @@ def test_tower_window_isomorphisms_from_last_transition():
 # memo scope
 
 
+def test_chain_profile_of_unit_and_zero_ideals():
+    # ZZ^2/(4, 0): a free summand next to Z/4
+    M = FPModule(ZZ, 2, [ints(ZZ, 4, 0)])
+    for gens in ([ZZ.from_int(-1)], [ZZ.from_int(2), ZZ.from_int(3)]):
+        prof = chain_profile(M, gens, B)
+        assert (prof.status, prof.stabilized_at, prof.certificate) == (
+            "stabilized", 0, {"kind": "chain_iteration", "index": 0})
+        assert prof.tail_gens == (ints(ZZ, 1, 0), ints(ZZ, 0, 1))
+        assert prof.separated_tail_nonzero is True
+    # a^k M = 0 for k >= 1: the walk finds it, and at depth 0 the Euclidean
+    # analysis does
+    euclid = {"kind": "euclidean_decomposition", "free_rank": 1,
+              "ideal_gcd": "0", "note": "zero ideal"}
+    walk = {"kind": "chain_iteration", "index": 1}
+    for depth, certificate in ((0, euclid), (1, walk), (16, walk)):
+        prof = chain_profile(M, [ZZ.zero()], Budgets(depth=depth))
+        assert (prof.status, prof.stabilized_at, prof.tail_gens,
+                prof.certificate, prof.separated_tail_nonzero) == (
+            "stabilized", 1, (), certificate, False)
+
+
 def _graded_pair():
     """QQ[x,y]^2 / (x, y^2), ungraded and with generator degrees (0, -1):
     equal as modules, yet only the grading makes (x, y^2) homogeneous."""

@@ -1,6 +1,7 @@
 import pytest
 
-from adiclab.adic import Budgets, DecayModule
+from adiclab import derived
+from adiclab.adic import Budgets, DecayModule, memo_scope
 from adiclab.complexes import (cohomology, complex_from_module, hom_complex,
                                is_quasi_iso, shift_complex, tensor_complex)
 from adiclab.derived import (DerivedCompletionStage, derived_completion_stage,
@@ -185,3 +186,36 @@ def test_cc_joint_chain_route():
     # per-generator route agrees: the y-component fails
     v2 = is_cohomologically_complete(Mx, [x, y], B)
     assert v2.fails()
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(derived, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(derived, name, wrapper)
+    return calls
+
+
+def test_cc_runs_each_telescope_analysis_once(monkeypatch):
+    KT4 = ring_power_series(QQ, "t", 4)
+    D = DecayModule(KT4, 4, (0, 1, 2, 3))
+    t = KT4.variable("t")
+    stages = _counting(monkeypatch, "telescope_stage")
+    isos = _counting(monkeypatch, "modules_isomorphic")
+    assert is_cohomologically_complete(D, [t]).holds()
+    # one analysis builds the stage-N and stage-(N+1) telescopes; Ext^0
+    # and Ext^1 both read it and one stage-value check
+    assert len(stages) == 2
+    assert len(isos) == 1
+    # a memoised analysis hands each result its own details dict
+    M = D.avatar()
+    with memo_scope():
+        both = ext_localization(0, t, M, route="both")
+        tele = ext_localization(1, t, M, route="telescope")
+    assert both.details["stage_value_matches_module"] is True
+    assert "stage_value_matches_module" not in tele.details
+    assert len(stages) == 4 and len(isos) == 2

@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from adiclab import adic
 from adiclab.adic import (Budgets, ChainProfile, chain_profile,
@@ -14,8 +14,9 @@ from adiclab.adic import (Budgets, ChainProfile, chain_profile,
 from adiclab.complexes import (BoundedComplex, ComplexMap, cohomology,
                                complex_from_module, hom_complex,
                                tensor_complex)
-from adiclab import modules
-from adiclab.derived import is_cohomologically_complete, telescope_stage
+from adiclab import modules, verdicts
+from adiclab.derived import (ext_localization, is_cohomologically_complete,
+                             telescope_stage)
 from adiclab.groebner import ModuleBasis
 from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec,
                              _engine_basis, _query_row, _vec_to_dict,
@@ -628,11 +629,12 @@ _TOWER_RINGS = [ZZ, ring_polynomial(QQ, ("x",)),
 
 
 @st.composite
-def _module_and_element(draw):
+def _module_and_element(draw, rings=_TOWER_RINGS):
     """A module of rank 1-2 with up to two relations and one ring element,
-    over ZZ, QQ[x], GF(5)[x,y] or QQ[[t]]/t^6; entries of one or two
-    terms keep the chains short, and two terms reach the ungraded cases."""
-    ring = draw(st.sampled_from(_TOWER_RINGS))
+    by default over ZZ, QQ[x], GF(5)[x,y] or QQ[[t]]/t^6; entries of one or
+    two terms keep the chains short, and two terms reach the ungraded
+    cases."""
+    ring = draw(st.sampled_from(rings))
 
     def element():
         e = ring.zero()
@@ -847,3 +849,33 @@ def test_pivot_free_rank_equals_smith_free_rank(M):
     rows = work_rows(M.ring, M.ambient_rank, M.relations)
     rank = smith_normal_form(rows, M.ring.work)[2] if rows else 0
     assert adic._free_rank(M) == M.ambient_rank - rank
+
+
+_CC_RINGS = [ZZ, ring_polynomial(ring_prime_field(5), ("x",)),
+             ring_power_series(QQ, "t", 3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_module_and_element(_CC_RINGS))
+def test_cc_equals_its_two_ext_indices_computed_apart(case):
+    M, a = case
+    assume(not a.is_zero())
+    b = Budgets(depth=4, window=4, stages=2)
+    for route, ext_route in (("auto", "both"), ("telescope", "telescope")):
+        fresh = []
+        for index in (0, 1):
+            with memo_scope():
+                fresh.append(ext_localization(index, a, M, b, ext_route))
+        with memo_scope():
+            shared = [ext_localization(index, a, M, b, ext_route)
+                      for index in (0, 1)]
+        for got, want in zip(shared, fresh):
+            assert (got.stages, got.vanishing, got.agreement, got.details) \
+                == (want.stages, want.vanishing, want.agreement, want.details)
+        want = verdicts.conjunction({"ext0_vanishing": fresh[0].vanishing,
+                                     "ext1_vanishing": fresh[1].vanishing})
+        got = is_cohomologically_complete(M, [a], b, route=route)
+        assert got.status == want.status
+        if want.fails():
+            degree = 0 if want.witness["component"] == "ext0_vanishing" else 1
+            assert got.witness["obstruction_degree"] == degree
