@@ -10,27 +10,25 @@ __version__ = "0.1.0"
 
 from .errors import (AdicLabError, BudgetExceeded, DivisionByZero,
                      InvalidComplex, InvalidRing, NonSurjectiveReduction,
-                     NotFree, ParentMismatch, ParseError, PrecisionExceeded,
-                     TaskError, UnknownProfile, UnsupportedRing)
+                     NotFree, ParentMismatch, ParseError, TaskError,
+                     UnknownProfile, UnsupportedRing)
 from .rings import (RingElem, RingMap, RingSpec, apply_ring_map, elem_divstep,
-                    elem_op, element_to_str, make_ring, parse_element,
-                    ring_integers, ring_polynomial, ring_power_series,
-                    ring_prime_field, ring_quotient, ring_rationals)
+                    element_to_str, make_ring, parse_element, ring_integers,
+                    ring_polynomial, ring_power_series, ring_prime_field,
+                    ring_quotient, ring_rationals)
 from .modules import (FPModule, ModuleHom, StdBasis, cyclic_module,
-                      free_module, ideal_power_act, image_coker, kernel_hom,
-                      module_is_zero, modules_equal, modules_isomorphic,
-                      quotient_module, std_basis, zero_module)
+                      free_module, image_coker, kernel_hom, modules_equal,
+                      modules_isomorphic, quotient_module, std_basis,
+                      zero_module)
 from .complexes import (BoundedComplex, ComplexMap, cohomology, cone,
                         complex_from_module, hom_complex, is_quasi_iso,
                         shift_complex, smart_truncate, tensor_complex)
 from .verdicts import Verdict
-from .adic import (Budgets, DecayApprox, DecayModule, Tower, chain_profile,
-                   completion_tower, fdec_reduce, is_complete, is_separated,
-                   lim_tower, memo_scope, multiplication_tower)
-from .derived import (ExtApprox, KoszulStage, TelescopeStage,
-                      derived_completion_stage, ext_localization,
-                      is_cohomologically_complete, koszul_stage,
-                      telescope_stage)
+from .adic import (Budgets, DecayModule, Tower, chain_profile,
+                   completion_tower, is_complete, is_separated, lim_tower,
+                   memo_scope, multiplication_tower)
+from .derived import (ExtApprox, TelescopeStage, ext_localization,
+                      is_cohomologically_complete, telescope_stage)
 from .theorems import (EquivalenceReport, build_example1, check_lemma1,
                        check_lemma5, check_theorem2, check_theorem3,
                        check_theorem4)

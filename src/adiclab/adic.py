@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, ParentMismatch, PrecisionExceeded
+from .errors import BudgetExceeded, ParentMismatch
 from .modules import (FPModule, ModuleHom, euclidean_capable, free_module,
                       hom_is_iso, ideal_power_gens, kernel_hom, lift_elem,
                       lower_elem, quotient_module, std_basis,
@@ -59,7 +59,7 @@ class Budgets:
     depth: int = 16        # chain iteration / tower depth
     window: int = 8        # materialized window for limit reports
     stages: int = 8        # telescope stage
-    stab_window: int = 2   # consecutive decisive stages required for Holds
+    stab_window: int = 2   # stages listed by a route-"tower" ExtApprox
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
@@ -92,8 +92,6 @@ class ChainProfile:
     # elements of the intersection of the chain (Euclidean analysis only)
     tail_gens: tuple
     certificate: dict
-    separated_tail_nonzero: bool | None  # intersection of the chain nonzero?
-    budget: dict
 
 
 def _gens_valid(M: FPModule, gens):
@@ -127,7 +125,7 @@ def _elem_gcd(ring: RingSpec, elems):
     return g
 
 
-def _euclid_chain(M: FPModule, gens, budgets: Budgets):
+def _euclid_chain(M: FPModule, gens):
     """Closed-form chain analysis over Euclidean-capable rings, for a
     proper ideal of a nonzero module: S_1 = a F + R is not all of F.
     `gens` holds no zero generator, and is empty (the zero ideal) only when
@@ -154,8 +152,7 @@ def _euclid_chain(M: FPModule, gens, budgets: Budgets):
     if g.is_zero():
         # zero ideal: a^k M = 0 for k >= 1
         return ChainProfile("stabilized", 1, (),
-                            {**info, "note": "zero ideal"}, False,
-                            budgets.as_dict())
+                            {**info, "note": "zero ideal"})
     for i, d in enumerate(factors):
         if d.is_unit():
             continue
@@ -180,12 +177,10 @@ def _euclid_chain(M: FPModule, gens, budgets: Budgets):
     tail = tuple(_filter_mod_relations(M, tail_vecs))
     if free_rank == 0:
         # chain provably stabilizes at k0
-        return ChainProfile("stabilized", k0, tail, info,
-                            bool(tail), budgets.as_dict())
+        return ChainProfile("stabilized", k0, tail, info)
     # free part with a proper nonzero ideal: strictly descending forever
     info["note"] = "free summand forces strict descent"
-    return ChainProfile("strict_forever", None, tail, info, bool(tail),
-                        budgets.as_dict())
+    return ChainProfile("strict_forever", None, tail, info)
 
 
 def _graded_positive(M: FPModule, gens) -> bool:
@@ -270,21 +265,19 @@ def chain_profile(M: FPModule, gens, budgets: Budgets = DEFAULT_BUDGETS) -> Chai
 
 def _chain_profile(M: FPModule, gens, budgets: Budgets) -> ChainProfile:
     gens = _gens_valid(M, gens)
-    budget = budgets.as_dict()
     if M.is_zero():
-        return ChainProfile("stabilized", 0, (), {"kind": "zero_module"},
-                            False, budget)
+        return ChainProfile("stabilized", 0, (), {"kind": "zero_module"})
     # S_k = a^k F + R, read through canonical bases; S_0 is all of F, whose
     # canonical basis is the unit vectors
     n = M.ambient_rank
     cur = _canonical_span(M, ideal_power_gens(gens, 1, M) if gens else [])
     if cur == tuple(unit_vector(M.ring, n, i) for i in range(n)):
-        return _iterated(M, cur, 0, budget)
+        return _iterated(M, cur, 0)
     # strict-descent certificates: such a chain never has S_k = S_(k+1), so
     # the walk would end in the same certificate
     euclid = euclidean_capable(M.ring)
     if euclid and gens and _free_rank(M):
-        return _euclid_chain(M, gens, budgets)
+        return _euclid_chain(M, gens)
     nilpotent = False
     if not euclid and _graded_positive(M, gens):
         nilpotent = True
@@ -295,8 +288,7 @@ def _chain_profile(M: FPModule, gens, budgets: Budgets) -> ChainProfile:
                     "strict_forever", None, (),
                     {"kind": "graded_nakayama",
                      "non_nilpotent_generator": element_to_str(a),
-                     "note": "graded chain stabilizes only at zero"},
-                    False, budget)
+                     "note": "graded chain stabilizes only at zero"})
             nilpotent = nilpotent and nil is True
     # S_k = S_(k+1) exactly when S_k is the limit of the chain; `limit` is
     # its canonical basis once known, so the walk needs no step past it
@@ -316,29 +308,27 @@ def _chain_profile(M: FPModule, gens, budgets: Budgets) -> ChainProfile:
             depth = 0
     for k in range(1, depth + 1):
         if cur == limit:
-            return _iterated(M, cur, k, budget)
+            return _iterated(M, cur, k)
         nxt = _canonical_span(M, [tuple(a * e for e in v)
                                   for v in cur for a in gens])
         if nxt == cur:
-            return _iterated(M, cur, k, budget)
+            return _iterated(M, cur, k)
         cur = nxt
     # certificates beyond the budget
     if euclid:
-        return _euclid_chain(M, gens, budgets)
+        return _euclid_chain(M, gens)
     if nilpotent:
         # nilpotent but deeper than the budget
         return ChainProfile("unknown", None, (), {
-            "kind": "nilpotent_beyond_budget"}, None, budget)
-    return ChainProfile("unknown", None, (), {"kind": "budget_exhausted"},
-                        None, budget)
+            "kind": "nilpotent_beyond_budget"})
+    return ChainProfile("unknown", None, (), {"kind": "budget_exhausted"})
 
 
-def _iterated(M: FPModule, span, k: int, budget: dict) -> ChainProfile:
+def _iterated(M: FPModule, span, k: int) -> ChainProfile:
     """The chain stabilizes at k with S_k spanned by `span`."""
     tail = tuple(_filter_mod_relations(M, span))
     return ChainProfile("stabilized", k, tail,
-                        {"kind": "chain_iteration", "index": k},
-                        bool(tail), budget)
+                        {"kind": "chain_iteration", "index": k})
 
 
 def _free_rank(M: FPModule) -> int:
@@ -528,15 +518,14 @@ def is_separated(M, gens, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
             "stabilized_at": prof.stabilized_at,
             "note": "element lies in a^k M for every k"}, budget)
     if prof.status == "strict_forever":
-        if prof.separated_tail_nonzero is False:
+        if not prof.tail_gens:
             return verdicts.holds({
                 "kind": "euclidean_valuation",
                 "decomposition": prof.certificate}, budget)
-        if prof.separated_tail_nonzero is True:
-            return verdicts.fails({
-                "kind": "saturated_torsion_element",
-                "element": vec_strs(prof.tail_gens[0]),
-                "note": "element lies in a^k M for every k"}, budget)
+        return verdicts.fails({
+            "kind": "saturated_torsion_element",
+            "element": vec_strs(prof.tail_gens[0]),
+            "note": "element lies in a^k M for every k"}, budget)
     return verdicts.unknown(budget)
 
 
@@ -624,49 +613,6 @@ def is_complete(M, gens, budgets: Budgets = DEFAULT_BUDGETS,
 
 # ---------------------------------------------------------------------------
 # decaying-function modules (the anomalous family)
-
-
-@dataclass(frozen=True)
-class DecayApprox:
-    """Finite-stage picture of a decaying function: values below a support
-    bound at a fixed power-series precision, with a decay schedule."""
-    ring: RingSpec
-    values: tuple
-    schedule: tuple
-
-    def __post_init__(self):
-        if self.ring.kind != POWER_SERIES:
-            raise ParentMismatch("decay approximations live over truncated "
-                                 "power series")
-        if len(self.values) != len(self.schedule):
-            raise ParentMismatch("one schedule level per value")
-        for v, d in zip(self.values, self.schedule):
-            if v.ring != self.ring:
-                raise ParentMismatch("value outside the ring")
-            if not v.is_zero() and (v.valuation() or 0) < d:
-                raise ParentMismatch("value breaks its decay level")
-
-    @property
-    def precision(self):
-        return self.ring.precision
-
-
-def fdec_reduce(e: DecayApprox, k: int):
-    """Finitely supported representative modulo t^k: drop indices whose
-    value lies in (t^k)."""
-    if k > e.ring.precision:
-        raise PrecisionExceeded(f"{k} beyond stored precision {e.ring.precision}")
-    out = {}
-    for i, v in enumerate(e.values):
-        if v.is_zero():
-            continue
-        if v.valuation() >= k:
-            continue
-        truncated = RingElem(e.ring, {ex: c for ex, c in v.terms.items()
-                                      if ex[0] < k})
-        if not truncated.is_zero():
-            out[i] = truncated
-    return out
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,20 @@ EXIT_USAGE = 4
 # strict parsing
 
 
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
+               bool: "a boolean"}
+
+
+def _of_type(value, kind, path):
+    """The value, when it has the JSON type `kind`; else a ParseError."""
+    if not isinstance(value, kind):
+        raise ParseError(path, f"expected {_TYPE_NAMES[kind]}, "
+                               f"got {type(value).__name__}")
+    return value
+
+
 def _check_keys(obj, required, optional, path):
-    if not isinstance(obj, dict):
-        raise ParseError(path, f"expected an object, got {type(obj).__name__}")
+    _of_type(obj, dict, path)
     for k in required:
         if k not in obj:
             raise ParseError(path, f"missing required field {k!r}")
@@ -80,7 +91,8 @@ def _parse_module(ring, data, path) -> FPModule:
     if not _is_int(n) or n < 0:
         raise ParseError(path, "ambient_rank must be a nonnegative integer")
     rels = []
-    for i, row in enumerate(data.get("relations", [])):
+    relations = _of_type(data.get("relations", []), list, f"{path}.relations")
+    for i, row in enumerate(relations):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{path}.relations[{i}]",
                              f"expected a row of {n} coefficient strings")
@@ -99,7 +111,7 @@ def _parse_module(ring, data, path) -> FPModule:
 def _parse_complex(ring, data, modules, path) -> BoundedComplex:
     _check_keys(data, ["entries"], ["differentials"], path)
     entries = {}
-    for key, val in data["entries"].items():
+    for key, val in _of_type(data["entries"], dict, f"{path}.entries").items():
         try:
             j = int(key)
         except ValueError:
@@ -113,7 +125,9 @@ def _parse_complex(ring, data, modules, path) -> BoundedComplex:
         else:
             entries[j] = _parse_module(ring, val, f"{path}.entries.{key}")
     diffs = {}
-    for key, mat in data.get("differentials", {}).items():
+    differentials = _of_type(data.get("differentials", {}), dict,
+                             f"{path}.differentials")
+    for key, mat in differentials.items():
         try:
             j = int(key)
         except ValueError:
@@ -124,6 +138,9 @@ def _parse_complex(ring, data, modules, path) -> BoundedComplex:
         if src is None or tgt is None:
             raise ParseError(f"{path}.differentials.{key}",
                              "differential outside the declared window")
+        for i, row in enumerate(_of_type(mat, list,
+                                         f"{path}.differentials.{key}")):
+            _of_type(row, list, f"{path}.differentials.{key}[{i}]")
         try:
             rows = [tuple(parse_element(ring, s) for s in row) for row in mat]
             diffs[j] = ModuleHom(src, tgt, rows)
@@ -158,7 +175,17 @@ _TASK_CHOICES = {
     "lim_tower": {"kind": ("quotient", "multiplication")},
 }
 
+# The JSON type of each task field that names a declared object, an element
+# or a switch.
+_TASK_FIELD_TYPES = {"module": str, "complex": str, "ideal": str, "map": str,
+                     "ideals": list, "element": str, "transport": bool}
+
 _BUDGET_FIELDS = tuple(Budgets().as_dict())
+
+
+def _section(data, key, path):
+    """The named-object section `key` of an instance, {} when absent."""
+    return _of_type(data.get(key, {}), dict, f"{path}.{key}")
 
 
 def parse_instance(data, path="$") -> Instance:
@@ -169,14 +196,14 @@ def parse_instance(data, path="$") -> Instance:
     except AdicLabError as e:
         raise ParseError(f"{path}.ring", str(e)) from None
     modules = {}
-    for name, mdata in data.get("modules", {}).items():
+    for name, mdata in _section(data, "modules", path).items():
         modules[name] = _parse_module(ring, mdata, f"{path}.modules.{name}")
     complexes = {}
-    for name, cdata in data.get("complexes", {}).items():
+    for name, cdata in _section(data, "complexes", path).items():
         complexes[name] = _parse_complex(ring, cdata, modules,
                                          f"{path}.complexes.{name}")
     ideals = {}
-    for name, gens in data.get("ideals", {}).items():
+    for name, gens in _section(data, "ideals", path).items():
         if not isinstance(gens, list):
             raise ParseError(f"{path}.ideals.{name}",
                              "an ideal is a list of coefficient strings")
@@ -185,7 +212,7 @@ def parse_instance(data, path="$") -> Instance:
         except AdicLabError as e:
             raise ParseError(f"{path}.ideals.{name}", str(e)) from None
     maps = {}
-    for name, mdata in data.get("maps", {}).items():
+    for name, mdata in _section(data, "maps", path).items():
         mpath = f"{path}.maps.{name}"
         _check_keys(mdata, ["variables", "images"], ["kernel"], mpath)
         nvars = mdata["variables"]
@@ -193,10 +220,12 @@ def parse_instance(data, path="$") -> Instance:
             raise ParseError(mpath, "variables must be between 1 and 4")
         src = ring_polynomial(ring_integers(),
                               tuple(f"t{i+1}" for i in range(nvars)))
+        images = _of_type(mdata["images"], list, f"{mpath}.images")
+        kernel = _of_type(mdata.get("kernel", []), list, f"{mpath}.kernel")
         try:
-            images = tuple(parse_element(ring, s) for s in mdata["images"])
+            images = tuple(parse_element(ring, s) for s in images)
             f = RingMap(src, ring, images)
-            kernel = [parse_element(src, s) for s in mdata.get("kernel", [])]
+            kernel = [parse_element(src, s) for s in kernel]
         except AdicLabError as e:
             raise ParseError(mpath, str(e)) from None
         maps[name] = (f, kernel)
@@ -208,13 +237,16 @@ def parse_instance(data, path="$") -> Instance:
         if not isinstance(task, dict) or "command" not in task:
             raise ParseError(tpath, "each task needs a command")
         cmd = task["command"]
-        if cmd not in _TASK_SCHEMAS:
+        if not isinstance(cmd, str) or cmd not in _TASK_SCHEMAS:
             raise ParseError(tpath, f"unknown command {cmd!r}")
         req, opt = _TASK_SCHEMAS[cmd]
         _check_keys(task, ["command"] + req, opt + ["budgets"], tpath)
         for key in ("support", "precision", "depth", "index", "b_index"):
             if key in task and not _is_int(task[key]):
                 raise ParseError(f"{tpath}.{key}", "expected an integer")
+        for key, kind in _TASK_FIELD_TYPES.items():
+            if key in task:
+                _of_type(task[key], kind, f"{tpath}.{key}")
         for key, allowed in _TASK_CHOICES.get(cmd, {}).items():
             if key in task and task[key] not in allowed:
                 raise ParseError(f"{tpath}.{key}",
@@ -241,7 +273,7 @@ def parse_instance(data, path="$") -> Instance:
                              f"undeclared ideal {task['ideal']!r}")
         if "ideals" in task:
             for nm in task["ideals"]:
-                if nm not in ideals:
+                if not isinstance(nm, str) or nm not in ideals:
                     raise ParseError(f"{tpath}.ideals",
                                      f"undeclared ideal {nm!r}")
         if "map" in task and task["map"] not in maps:
@@ -813,7 +845,7 @@ def main(argv=None) -> int:
     runp.add_argument("--stages", type=_int_at_least(0), default=8,
                       help="telescope stage budget")
     runp.add_argument("--window", type=_int_at_least(0), default=2,
-                      help="stabilization window")
+                      help="stab_window budget")
     runp.add_argument("--format", choices=["text", "machine"], default="text")
     runp.add_argument("--jobs", type=_int_at_least(1), default=1)
 

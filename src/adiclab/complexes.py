@@ -187,11 +187,6 @@ class ComplexMap:
                 raise InvalidComplex(f"square at degree {j} does not commute")
 
 
-def identity_complex_map(C: BoundedComplex) -> ComplexMap:
-    return ComplexMap(C, C, {j: identity_hom(m) for j, m in C.entries.items()},
-                      check=False)
-
-
 def cone(phi: ComplexMap) -> BoundedComplex:
     """Mapping cone: cone^j = source^(j+1) (+) target^j."""
     S, T = phi.source, phi.target
@@ -316,13 +311,6 @@ def _hom_blocks(F: BoundedComplex, X: BoundedComplex, n: int):
     return blocks, offset
 
 
-def _hom_entry_module(ring, blocks, total):
-    mods = [b[3] for b in blocks]
-    if not mods:
-        return zero_module(ring)
-    return direct_sum_module(mods)
-
-
 def hom_complex(F: BoundedComplex, X) -> BoundedComplex:
     """Hom(F, X) for a finite free complex F; X a complex or a module.
 
@@ -345,7 +333,7 @@ def hom_complex(F: BoundedComplex, X) -> BoundedComplex:
         blocks, total = _hom_blocks(F, X, n)
         blocks_at[n] = blocks
         if total:
-            entries[n] = _hom_entry_module(ring, blocks, total)
+            entries[n] = direct_sum_module([b[3] for b in blocks])
     for n in sorted(degrees_n):
         if n not in entries or (n + 1) not in entries:
             continue
@@ -371,9 +359,7 @@ def hom_complex(F: BoundedComplex, X) -> BoundedComplex:
             for i2 in range(F.entry(p - 1).ambient_rank):
                 if (p - 1, i2) not in tgt_index:
                     continue
-                toff, Xm1 = tgt_index[(p - 1, i2)]
-                if Xm1 is not Xm and Xm1 != Xm:
-                    continue
+                toff, _ = tgt_index[(p - 1, i2)]
                 coeff = dF.matrix[i][i2]
                 if coeff.is_zero():
                     continue
@@ -472,39 +458,6 @@ def tensor_complex(F: BoundedComplex, G: BoundedComplex) -> BoundedComplex:
                         mat[tgt[key]][off] = mat[tgt[key]][off] + sign * e
         diffs[n] = ModuleHom(entries[n], entries[n + 1], mat, check=False)
     return BoundedComplex(ring, entries, diffs, check=False)
-
-
-def tensor_complex_map(phi: ComplexMap, psi: ComplexMap) -> ComplexMap:
-    """phi (x) psi on tensor complexes of free complexes (degree-0 maps)."""
-    F, G = phi.source, psi.source
-    F2, G2 = phi.target, psi.target
-    src = tensor_complex(F, G)
-    tgt = tensor_complex(F2, G2)
-    ring = F.ring
-    comps = {}
-    for n in set(src.entries) | set(tgt.entries):
-        sblocks, stotal = _tensor_blocks(F, G, n)
-        tblocks, ttotal = _tensor_blocks(F2, G2, n)
-        tindex = {(p, i, jj): off for p, i, jj, off in tblocks}
-        z = ring.zero()
-        mat = [[z] * stotal for _ in range(ttotal)]
-        for p, i, jj, off in sblocks:
-            q = n - p
-            cf = phi.component(p)
-            cg = psi.component(q)
-            for i2 in range(F2.entry(p).ambient_rank):
-                a = cf.matrix[i2][i]
-                if a.is_zero():
-                    continue
-                for j2 in range(G2.entry(q).ambient_rank):
-                    b = cg.matrix[j2][jj]
-                    if b.is_zero():
-                        continue
-                    key = (p, i2, j2)
-                    if key in tindex:
-                        mat[tindex[key]][off] = mat[tindex[key]][off] + a * b
-        comps[n] = ModuleHom(src.entry(n), tgt.entry(n), mat, check=False)
-    return ComplexMap(src, tgt, comps, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Telescope and dual-Koszul stages, localization Ext, and the
-cohomological-completeness decision procedure.
+"""Telescope stages, localization Ext, and the cohomological-completeness
+decision procedure.
 
 The telescope at stage N for a single element a is the two-term free
 complex on delta_0..delta_N in degrees 0 and 1 with differential
@@ -8,8 +8,9 @@ part omits delta_0 in degree 0.  These satisfy the executable identities
 everything downstream relies on: Hom into a module M has stage cohomology
 M/a^(N+1)M in degree 0 and the a^(N+1)-annihilator in degree -1, the stage
 towers realize the completion and multiplication towers, and the stage
-restriction on the plus-part H^0 acts as multiplication by a.  Multi
-generator stages are tensors of the single-generator ones.
+restriction on the plus-part H^0 acts as multiplication by a.
+Cohomological completeness along a = (a_1..a_n) is decided one generator
+at a time, so only single-element stages are built.
 
 Localization Ext is assembled two independent ways: through the telescope
 stage cohomology towers, and through the multiplication tower directly;
@@ -23,13 +24,12 @@ from .adic import (Budgets, DEFAULT_BUDGETS, DecayModule, chain_profile,
                    ext0_vanishing_tower, ext1_vanishing_tower, is_separated,
                    memo_scope, memoised, vec_strs)
 from .complexes import (BoundedComplex, ComplexMap, cohomology,
-                        complex_from_module, hom_complex, hom_complex_map,
-                        induced_cohomology_map, shift_complex,
-                        tensor_complex, tensor_complex_map)
-from .errors import BudgetExceeded, ParentMismatch
+                        hom_complex_map, induced_cohomology_map,
+                        shift_complex)
+from .errors import BudgetExceeded
 from .modules import (FPModule, ModuleHom, free_module, kernel_hom,
                       modules_isomorphic, std_basis)
-from .rings import RingElem, RingSpec, element_to_str
+from .rings import RingElem, element_to_str
 from . import verdicts
 from .verdicts import Verdict
 
@@ -40,11 +40,10 @@ from .verdicts import Verdict
 
 @dataclass(frozen=True)
 class TelescopeStage:
-    gens: tuple
+    element: RingElem
     stage: int
     complex: BoundedComplex
-    augmentation: ComplexMap            # complex -> unit complex in degree 0
-    plus_part: BoundedComplex | None    # single-generator stages only
+    plus_part: BoundedComplex
 
 
 def _single_telescope(a: RingElem, N: int) -> BoundedComplex:
@@ -58,18 +57,6 @@ def _single_telescope(a: RingElem, N: int) -> BoundedComplex:
         mat[c][c] = mat[c][c] - a
     d = ModuleHom(F, F, mat, check=False)
     return BoundedComplex(ring, {0: F, 1: F}, {0: d}, check=False)
-
-
-def unit_complex(ring: RingSpec) -> BoundedComplex:
-    return complex_from_module(free_module(ring, 1))
-
-
-def _single_augmentation(a: RingElem, N: int, C: BoundedComplex) -> ComplexMap:
-    ring = a.ring
-    A0 = unit_complex(ring)
-    row = [ring.one()] + [ring.zero()] * N
-    u0 = ModuleHom(C.entry(0), A0.entry(0), [row], check=False)
-    return ComplexMap(C, A0, {0: u0}, check=False)
 
 
 def _single_plus(a: RingElem, N: int) -> BoundedComplex:
@@ -86,67 +73,17 @@ def _single_plus(a: RingElem, N: int) -> BoundedComplex:
     return BoundedComplex(ring, {0: P0, 1: P1}, {0: d}, check=False)
 
 
-def telescope_stage(a_list, N: int) -> TelescopeStage:
-    """Finite telescope stage for the generator list, with augmentation."""
+def telescope_stage(a: RingElem, N: int) -> TelescopeStage:
+    """Finite telescope stage N for one element, with its plus part."""
     if N < 1:
         raise BudgetExceeded("telescope stage must be >= 1")
-    a_list = list(a_list)
-    if not a_list:
-        raise ParentMismatch("telescope needs at least one generator")
-    ring = a_list[0].ring
-    for a in a_list:
-        if a.ring != ring:
-            raise ParentMismatch("telescope generators over mixed rings")
-    C = _single_telescope(a_list[0], N)
-    u = _single_augmentation(a_list[0], N, C)
-    for a in a_list[1:]:
-        C2 = _single_telescope(a, N)
-        u2 = _single_augmentation(a, N, C2)
-        joined = tensor_complex_map(u, u2)
-        C = joined.source
-        # retarget the tensor of unit complexes to the canonical unit complex
-        A0 = unit_complex(ring)
-        comps = {j: ModuleHom(joined.source.entry(j), A0.entry(j),
-                              joined.component(j).matrix, check=False)
-                 for j in joined.components}
-        u = ComplexMap(C, A0, comps, check=False)
-    plus = _single_plus(a_list[0], N) if len(a_list) == 1 else None
-    return TelescopeStage(tuple(a_list), N, C, u, plus)
+    return TelescopeStage(a, N, _single_telescope(a, N), _single_plus(a, N))
 
 
 def shift_complex_map(phi: ComplexMap, k: int) -> ComplexMap:
     return ComplexMap(shift_complex(phi.source, k), shift_complex(phi.target, k),
                       {j - k: f for j, f in phi.components.items()},
                       check=False)
-
-
-# ---------------------------------------------------------------------------
-# Koszul stages
-
-
-@dataclass(frozen=True)
-class KoszulStage:
-    gens: tuple
-    exponent: int
-    complex: BoundedComplex
-
-
-def _single_koszul(a: RingElem, j: int) -> BoundedComplex:
-    ring = a.ring
-    F = free_module(ring, 1)
-    d = ModuleHom(F, F, [[a ** j]], check=False)
-    return BoundedComplex(ring, {0: F, 1: F}, {0: d}, check=False)
-
-
-def koszul_stage(a_list, j: int) -> KoszulStage:
-    """Tensor over the generators of (A --*a_i^j--> A) in degrees 0, 1."""
-    if j < 1:
-        raise BudgetExceeded("Koszul stage must be >= 1")
-    a_list = list(a_list)
-    C = _single_koszul(a_list[0], j)
-    for a in a_list[1:]:
-        C = tensor_complex(C, _single_koszul(a, j))
-    return KoszulStage(tuple(a_list), j, C)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +115,8 @@ def _telescope_ext(a: RingElem, M: FPModule, budgets: Budgets):
     N = max(2, min(budgets.stages, 24 // max(1, M.ambient_rank)))
     ring = M.ring
     # stage inclusion of plus parts: delta_i -> delta_i in both degrees
-    Ps = telescope_stage([a], N).plus_part
-    Pt = telescope_stage([a], N + 1).plus_part
+    Ps = telescope_stage(a, N).plus_part
+    Pt = telescope_stage(a, N + 1).plus_part
     z = ring.zero()
     e0 = [[ring.one() if i == c else z for c in range(N)]
           for i in range(N + 1)]
@@ -271,50 +208,6 @@ def ext_localization(index: int, a: RingElem, M,
     primary = tow if tow.decisive or not tele.decisive else tele
     return ExtApprox(index, element_to_str(a), stage_vals, primary, "both",
                      agreement, details)
-
-
-# ---------------------------------------------------------------------------
-# derived completion at a stage
-
-
-@dataclass(frozen=True)
-class DerivedCompletionStage:
-    stage: int
-    hom: BoundedComplex
-    comparison: ComplexMap
-    koszul: dict
-
-
-def _comparison_map(tel: TelescopeStage, X: BoundedComplex) -> ComplexMap:
-    """Hom(u_N, 1): X -> Hom(Tel_N, X) with the module complex as source."""
-    back = hom_complex_map(tel.augmentation, X)
-    # back.source is Hom(unit, X), entrywise equal to X itself
-    comps = {}
-    for j, f in back.components.items():
-        comps[j] = ModuleHom(X.entry(j), f.target, f.matrix, check=False)
-    return ComplexMap(X, back.target, comps, check=False)
-
-
-def derived_completion_stage(M, a_list, N: int,
-                             budgets: Budgets = DEFAULT_BUDGETS) -> DerivedCompletionStage:
-    """Hom(Tel_N, M) with the comparison map, plus the Koszul-tower
-    cross-check assembly."""
-    if N > 4 * budgets.stages:
-        raise BudgetExceeded(f"telescope stage {N} beyond budget")
-    X = complex_from_module(M) if isinstance(M, FPModule) else M
-    tel = telescope_stage(a_list, N)
-    H = hom_complex(tel.complex, X)
-    cmp_map = _comparison_map(tel, X)
-    koszul = {}
-    jmax = min(N, budgets.stab_window + 1)
-    for j in range(1, jmax + 1):
-        K = koszul_stage(a_list, j)
-        HK = hom_complex(K.complex, X)
-        koszul[j] = {
-            "H^-1_rank": cohomology(HK, -1).ambient_rank,
-            "H^0": cohomology(HK, 0),
-        }
-    return DerivedCompletionStage(N, H, cmp_map, koszul)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,6 @@ class BudgetExceeded(AdicLabError):
     """A depth/stage/window budget was exceeded."""
 
 
-class PrecisionExceeded(AdicLabError):
-    """A truncation level beyond the stored precision was requested."""
-
-
 class NonSurjectiveReduction(AdicLabError):
     """A scalar-restriction transport was requested for a map that is not
     surjective onto a quotient presentation of its target."""

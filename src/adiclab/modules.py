@@ -9,13 +9,10 @@ form diagonal data for invariant-factor comparisons.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from .errors import BudgetExceeded, ParentMismatch, UnsupportedRing
+from .errors import ParentMismatch, UnsupportedRing
 from .groebner import ModuleBasis
 from .rings import INTEGERS, POLYNOMIAL, RingElem, RingSpec, element_to_str
 from .smith import invariant_factors
-
-DEFAULT_POWER_BUDGET = 64
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +77,6 @@ def zero_vector(ring: RingSpec, ambient: int):
 def unit_vector(ring: RingSpec, ambient: int, i: int):
     z = ring.zero()
     return tuple(ring.one() if j == i else z for j in range(ambient))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(v, c: RingElem):
-    return tuple(c * a for a in v)
 
 
 def vec_is_zero(v) -> bool:
@@ -335,10 +324,6 @@ def modules_equal(M: FPModule, N: FPModule) -> bool:
             and all(mb.contains(r) for r in N.relations))
 
 
-def module_is_zero(M: FPModule) -> bool:
-    return M.is_zero()
-
-
 class ModuleHom:
     """A morphism of presentations: a target-rank x source-rank matrix that
     maps source relations into the span of target relations."""
@@ -507,15 +492,7 @@ def hom_is_iso(f: ModuleHom) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# ideal powers acting on a module
-
-
-@dataclass(frozen=True)
-class IdealPowerResult:
-    submodule: FPModule
-    submodule_gens: tuple
-    quotient: FPModule
-    stabilized_at: int | None
+# ideal powers
 
 
 def ideal_power_gens(a_list, k: int, M: FPModule):
@@ -536,29 +513,6 @@ def ideal_power_gens(a_list, k: int, M: FPModule):
             out.append(tuple(w if j == i else ring.zero()
                              for j in range(M.ambient_rank)))
     return out
-
-
-def ideal_power_act(a_list, k: int, M: FPModule,
-                    budget: int = DEFAULT_POWER_BUDGET) -> IdealPowerResult:
-    """a^k M as a submodule plus M / a^k M, with chain stabilization data."""
-    if k > budget:
-        raise BudgetExceeded(f"ideal power {k} exceeds budget {budget}")
-    if k < 0:
-        raise BudgetExceeded("negative ideal power")
-    stabilized = None
-    prev_gens = None
-    gens = None
-    for j in range(k + 1):
-        gens = ideal_power_gens(a_list, j, M)
-        if prev_gens is not None and stabilized is None:
-            basis = StdBasis(M.ring, M.ambient_rank,
-                             list(gens) + list(M.relations))
-            if all(basis.contains(g) for g in prev_gens):
-                stabilized = j - 1
-        prev_gens = gens
-    sub = submodule_presentation(gens, M)
-    quot = quotient_module(M, gens)
-    return IdealPowerResult(sub, tuple(gens), quot, stabilized)
 
 
 # ---------------------------------------------------------------------------

@@ -407,11 +407,20 @@ def make_ring(desc) -> RingSpec:
         QUOTIENT: ("ambient", "ideal"),
         POWER_SERIES: ("base", "var", "precision"),
     }
-    if kind not in known:
+    if not isinstance(kind, str) or kind not in known:
         raise InvalidRing(f"unknown ring kind {kind!r}")
     extra = set(desc) - set(known[kind]) - {"kind"}
     if extra:
         raise InvalidRing(f"unknown fields {sorted(extra)} for ring kind {kind}")
+    for key in ("p", "precision"):
+        if isinstance(desc.get(key), bool):
+            raise InvalidRing(f"{key} must be an integer, not a boolean")
+    for key in ("vars", "ideal"):
+        if key in desc and not (isinstance(desc[key], list) and all(
+                isinstance(s, str) for s in desc[key])):
+            raise InvalidRing(f"{key} must be a list of strings")
+    if not isinstance(desc.get("var", "t"), str):
+        raise InvalidRing("var must be a string")
     if kind == INTEGERS:
         return ring_integers()
     if kind == RATIONALS:
@@ -636,20 +645,7 @@ def _normalize_terms(ring: RingSpec, terms: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the four spec operations
-
-
-def elem_op(op: str, left: RingElem, right: RingElem | None = None) -> RingElem:
-    """Dispatch table for basic element arithmetic."""
-    if op == "add":
-        return left + right
-    if op == "mul":
-        return left * right
-    if op == "negate":
-        return -left
-    if op == "scale":
-        return left.scale(right.constant_scalar() if isinstance(right, RingElem) else right)
-    raise UnsupportedRing(f"unknown element operation {op!r}")
+# Euclidean division steps and ring maps
 
 
 def elem_divstep(a: RingElem, b: RingElem) -> tuple[RingElem, RingElem]:

@@ -19,13 +19,13 @@ from .complexes import (BoundedComplex, ComplexMap, cohomology,
                         complex_from_module, induced_cohomology_map)
 from .derived import ext_localization, is_cohomologically_complete
 from .errors import BudgetExceeded, NonSurjectiveReduction, ParentMismatch
-from .modules import (FPModule, ModuleHom, free_module, hom_is_iso,
-                      identity_hom, kernel_hom, module_data,
-                      modules_isomorphic, quotient_module)
+from .modules import (FPModule, ModuleHom, euclidean_capable, free_module,
+                      hom_is_iso, ideal_power_gens, identity_hom, kernel_hom,
+                      module_data, modules_isomorphic, quotient_module)
 from .rings import (INTEGERS, POLYNOMIAL, PRIME_FIELD, POWER_SERIES,
                     RingElem, RingMap, RingSpec, apply_ring_map,
                     element_to_str, ring_integers, ring_polynomial,
-                    ring_to_desc)
+                    ring_power_series, ring_rationals, ring_to_desc)
 from . import verdicts
 from .verdicts import Verdict
 
@@ -320,7 +320,6 @@ def _theorem4_transport(M: FPModule, gens, budgets: Budgets,
         or right_A.status == right_B.status,
     }
     # tower agreement: the pushed-down stage quotients coincide
-    from .modules import ideal_power_gens
     stage_match = []
     for k in (1, 2):
         QA = quotient_module(MA, ideal_power_gens(tvars, k, MA))
@@ -394,7 +393,6 @@ def check_lemma5(f: RingMap, b_index: int, M: FPModule,
         subs[f"ext{i}_target"] = eB.vanishing
         subs[f"ext{i}_source"] = eA.vanishing
     # stagewise values: push the source-side stages down and compare
-    from .modules import euclidean_capable
     stage_iso = None
     if euclidean_capable(B):
         QB = M  # stage value of the multiplication tower is M itself
@@ -425,9 +423,6 @@ class Example1Result:
     element: tuple
     report: dict
 
-    def verdict(self, name: str) -> Verdict:
-        return self.report[name]
-
 
 @memo_scope()
 def build_example1(support: int, precision: int, base: RingSpec | None = None,
@@ -439,7 +434,6 @@ def build_example1(support: int, precision: int, base: RingSpec | None = None,
     in the precision-aware sense."""
     if support < 2 or precision < 2:
         raise BudgetExceeded("support and precision must both be at least 2")
-    from .rings import ring_power_series, ring_rationals
     ring = ring_power_series(base or ring_rationals(), "t", precision)
     D = DecayModule(ring, support, tuple(range(support)))
     t = ring.variable("t")

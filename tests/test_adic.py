@@ -1,12 +1,12 @@
 import pytest
 
 from adiclab import adic
-from adiclab.adic import (Budgets, DecayApprox, DecayModule, chain_profile,
+from adiclab.adic import (Budgets, DecayModule, chain_profile,
                           completion_tower, ext0_vanishing_tower,
-                          ext1_vanishing_tower, fdec_reduce, is_complete,
-                          is_separated, lim_tower, memo_scope,
-                          multiplication_tower, nilpotent_on_module)
-from adiclab.errors import BudgetExceeded, PrecisionExceeded
+                          ext1_vanishing_tower, is_complete, is_separated,
+                          lim_tower, memo_scope, multiplication_tower,
+                          nilpotent_on_module)
+from adiclab.errors import BudgetExceeded
 from adiclab.modules import (FPModule, ModuleHom, compose, cyclic_module,
                              free_module, modules_equal,
                              modules_isomorphic, quotient_module, std_basis)
@@ -261,20 +261,6 @@ def test_nilpotency_oracle():
 # decaying functions
 
 
-def test_fdec_reduce_examples():
-    KT8 = ring_power_series(QQ, "t", 8)
-    t = KT8.variable("t")
-    e = DecayApprox(KT8, tuple(t ** i for i in range(6)), tuple(range(6)))
-    red = fdec_reduce(e, 4)
-    assert sorted(red) == [0, 1, 2, 3]
-    zero = DecayApprox(KT8, (KT8.zero(),) * 3, (0, 1, 2))
-    assert fdec_reduce(zero, 5) == {}
-    flat = DecayApprox(KT8, (KT8.one(),) * 4, (0, 0, 0, 0))
-    assert sorted(fdec_reduce(flat, 3)) == [0, 1, 2, 3]
-    with pytest.raises(PrecisionExceeded):
-        fdec_reduce(e, 9)
-
-
 def test_decay_module_separated_fails():
     KT8 = ring_power_series(QQ, "t", 8)
     M = DecayModule(KT8, 8, tuple(range(8)))
@@ -336,7 +322,6 @@ def test_chain_profile_of_unit_and_zero_ideals():
         assert (prof.status, prof.stabilized_at, prof.certificate) == (
             "stabilized", 0, {"kind": "chain_iteration", "index": 0})
         assert prof.tail_gens == (ints(ZZ, 1, 0), ints(ZZ, 0, 1))
-        assert prof.separated_tail_nonzero is True
     # a^k M = 0 for k >= 1: the walk finds it, and at depth 0 the Euclidean
     # analysis does
     euclid = {"kind": "euclidean_decomposition", "free_rank": 1,
@@ -345,8 +330,7 @@ def test_chain_profile_of_unit_and_zero_ideals():
     for depth, certificate in ((0, euclid), (1, walk), (16, walk)):
         prof = chain_profile(M, [ZZ.zero()], Budgets(depth=depth))
         assert (prof.status, prof.stabilized_at, prof.tail_gens,
-                prof.certificate, prof.separated_tail_nonzero) == (
-            "stabilized", 1, (), certificate, False)
+                prof.certificate) == ("stabilized", 1, (), certificate)
 
 
 def _graded_pair():

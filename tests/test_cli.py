@@ -234,6 +234,21 @@ def _z12_task(**task):
         {"module": "M", **task}]))
 
 
+def _z12_complex(**fields):
+    """z12 with the complex Z --4--> Z, its fields overridden."""
+    return _edited(z12_instance(), lambda d: d.update(complexes={"C": {
+        "entries": {"0": {"ambient_rank": 1}, "1": {"ambient_rank": 1}},
+        "differentials": {"0": [["4"]]}, **fields}}))
+
+
+def _z12_ring(**ring):
+    return _edited(z12_instance(), lambda d: d.update(ring=ring))
+
+
+def _z12_map(**fields):
+    return _edited(_lemma5(), lambda d: d["maps"]["f"].update(fields))
+
+
 @pytest.mark.parametrize("data, position", [
     (_with_task(budgets={"depth": "x"}), "$.tasks[0].budgets.depth"),
     (_with_task(budgets={"dept": 3}), "$.tasks[0].budgets: unknown fields"),
@@ -249,6 +264,45 @@ def _z12_task(**task):
      "$.maps.f: variables must be"),
     (_edited(z12_instance(), lambda d: d.update(seed=True)),
      "$.seed: seed must be an integer"),
+    # containers of the wrong JSON type
+    (_edited(z12_instance(), lambda d: d.update(modules=[])),
+     "$.modules: expected an object, got list"),
+    (_edited(z12_instance(), lambda d: d.update(ideals=["2"])),
+     "$.ideals: expected an object, got list"),
+    (_edited(_lemma5(), lambda d: d.update(maps=[])),
+     "$.maps: expected an object, got list"),
+    (_edited(z12_instance(), lambda d: d.update(complexes=[])),
+     "$.complexes: expected an object, got list"),
+    (_z12_complex(entries=[]), "$.complexes.C.entries: expected an object"),
+    (_z12_complex(differentials=[]),
+     "$.complexes.C.differentials: expected an object"),
+    (_z12_complex(differentials={"0": 5}),
+     "$.complexes.C.differentials.0: expected a list, got int"),
+    (_z12_complex(differentials={"0": ["4"]}),
+     "$.complexes.C.differentials.0[0]: expected a list, got str"),
+    (_edited(z12_instance(),
+             lambda d: d["modules"]["M"].update(relations=5)),
+     "$.modules.M.relations: expected a list, got int"),
+    (_z12_map(images=2), "$.maps.f.images: expected a list, got int"),
+    (_z12_map(images="2"), "$.maps.f.images: expected a list, got str"),
+    (_z12_map(kernel="t1 - 2"), "$.maps.f.kernel: expected a list"),
+    (_z12_task(command="check_theorem3", ideals="a"),
+     "$.tasks[0].ideals: expected a list, got str"),
+    (_z12_task(command="check_lemma1", element=2),
+     "$.tasks[0].element: expected a string, got int"),
+    (_with_task(transport="yes"),
+     "$.tasks[0].transport: expected a boolean, got str"),
+    (_with_task(transport=None),
+     "$.tasks[0].transport: expected a boolean, got NoneType"),
+    (_z12_ring(kind="polynomial", vars="xy"),
+     "$.ring: vars must be a list of strings"),
+    (_z12_ring(kind="quotient", ambient={"kind": "polynomial",
+                                         "vars": ["x"]}, ideal="x^2"),
+     "$.ring: ideal must be a list of strings"),
+    (_z12_ring(kind="prime_field", p=True),
+     "$.ring: p must be an integer, not a boolean"),
+    (_z12_ring(kind="truncated_power_series", precision=True),
+     "$.ring: precision must be an integer, not a boolean"),
 ])
 def test_malformed_numeric_field_is_parse_error(tmp_path, capsys, data,
                                                 position):
@@ -296,14 +350,25 @@ def test_errors_survive_pickling():
         TaskError, 3, "boom", "task 3: boom")
 
 
-@pytest.mark.parametrize("jobs, in_process", [("1", 2), ("2", 0)])
+_NO_TASKS = ({"ring": {"kind": "integers"}},
+             "$: missing required field 'tasks'")
+_MODULES_LIST = ({"ring": {"kind": "integers"}, "modules": [], "tasks": []},
+                 "$.modules: expected an object, got list")
+
+
+@pytest.mark.parametrize("jobs, in_process, bad_file", [
+    pytest.param("1", 2, _NO_TASKS, id="1-2"),
+    pytest.param("2", 0, _NO_TASKS, id="2-0"),
+    pytest.param("1", 2, _MODULES_LIST, id="modules-list-1-2"),
+    pytest.param("2", 0, _MODULES_LIST, id="modules-list-2-0"),
+])
 def test_bad_file_in_batch_is_named(tmp_path, capsys, monkeypatch, jobs,
-                                    in_process):
+                                    in_process, bad_file):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(z12_instance()), encoding="utf-8")
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"ring": {"kind": "integers"}}),
-                   encoding="utf-8")
+    data, cause = bad_file
+    bad.write_text(json.dumps(data), encoding="utf-8")
     # under --jobs 2 the workers report the error, so the batch is not
     # rerun in this process
     calls = []
@@ -312,8 +377,7 @@ def test_bad_file_in_batch_is_named(tmp_path, capsys, monkeypatch, jobs,
     code = main(["run", str(good), str(bad), str(good), "--jobs", jobs])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err == (f"parse error: {bad}: $: missing required field "
-                   "'tasks'\n")
+    assert err == f"parse error: {bad}: {cause}\n"
     assert len(calls) == in_process
 
 
@@ -594,3 +658,61 @@ def test_machine_report_bytes_are_pinned():
         for data in generate_instances(1, count, profile):
             digest.update(emit_report(run_instance(data), "machine").encode())
     assert digest.hexdigest() == PINNED_SHA256
+
+
+def _all_commands_instance():
+    """One small ZZ instance whose tasks run all twelve commands: every
+    cohomological-completeness route, both Ext indices on every Ext route,
+    both tower kinds of lim_tower, and build_example1 at support and
+    precision 4."""
+    cc = [{"command": "is_cohomologically_complete", "module": "M",
+           "ideal": "a", "route": route}
+          for route in ("auto", "tower", "telescope", "joint_chain")]
+    ext = [{"command": "ext_localization", "index": index, "module": "M",
+            "element": "2", "route": route}
+           for route in ("both", "tower", "telescope") for index in (0, 1)]
+    return {
+        "ring": {"kind": "integers"},
+        "modules": {"M": {"ambient_rank": 2, "relations": [["4", "0"]]},
+                    "T": {"ambient_rank": 1, "relations": [["12"]]}},
+        "complexes": {"C": {"entries": {"0": {"ambient_rank": 1},
+                                        "1": {"ambient_rank": 1}},
+                            "differentials": {"0": [["4"]]}}},
+        "ideals": {"a": ["2"], "b": ["3"]},
+        "maps": {"f": {"variables": 1, "images": ["2"],
+                       "kernel": ["t1 - 2"]}},
+        "tasks": [
+            {"command": "check_theorem2", "complex": "C", "ideal": "a"},
+            {"command": "check_theorem3", "module": "T",
+             "ideals": ["a", "b"]},
+            {"command": "check_theorem4", "module": "M", "ideal": "a"},
+            {"command": "check_lemma1", "module": "T", "element": "2"},
+            {"command": "check_lemma5", "map": "f", "b_index": 0,
+             "module": "T"},
+            {"command": "build_example1", "support": 4, "precision": 4},
+            {"command": "is_separated", "module": "M", "ideal": "a"},
+            {"command": "is_complete", "module": "M", "ideal": "a"},
+            *cc, *ext,
+            {"command": "completion_tower", "module": "T", "ideal": "a",
+             "depth": 4},
+            {"command": "lim_tower", "module": "T", "ideal": "a"},
+            {"command": "lim_tower", "module": "M", "kind": "multiplication",
+             "element": "2"},
+        ],
+        "seed": 1,
+    }
+
+
+# The machine report of `_all_commands_instance`, hashed, as the pinned
+# corpus above: it pins the report of every command, route and tower kind.
+ALL_COMMANDS_SHA256 = \
+    "cad24f5edce579e2256c0cc54cca29c6292462b2470d5cb48ae77f299227d4c8"
+
+
+def test_machine_report_of_every_command_is_pinned():
+    data = _all_commands_instance()
+    assert {t["command"] for t in data["tasks"]} == set(cli._TASK_SCHEMAS)
+    rep = run_instance(data)
+    assert rep["exit_status"] == EXIT_OK
+    report = emit_report(rep, "machine")
+    assert hashlib.sha256(report.encode()).hexdigest() == ALL_COMMANDS_SHA256

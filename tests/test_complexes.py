@@ -4,8 +4,7 @@ import pytest
 
 from adiclab.complexes import (BoundedComplex, ComplexMap, cohomology,
                                complex_from_module, cone, hom_complex,
-                               hom_complex_map, identity_complex_map,
-                               is_quasi_iso, shift_complex, smart_truncate,
+                               hom_complex_map, is_quasi_iso, shift_complex, smart_truncate,
                                tensor_complex, zero_complex)
 from adiclab.errors import InvalidComplex, NotFree
 from adiclab.modules import (FPModule, ModuleHom, cyclic_module, free_module,
@@ -136,7 +135,9 @@ def compose(T):
 
 def test_quasi_iso_examples():
     C = two_term(ZZ, 2)
-    assert is_quasi_iso(identity_complex_map(C)).holds()
+    identity = ComplexMap(C, C, {j: identity_hom(m)
+                                 for j, m in C.entries.items()})
+    assert is_quasi_iso(identity).holds()
     Z2 = cyclic_module(ZZ, ZZ.from_int(2))
     target = complex_from_module(Z2)
     phi = ComplexMap(zero_complex(ZZ), target, {}, check=False)

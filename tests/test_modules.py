@@ -3,16 +3,17 @@ from itertools import product as iproduct
 
 import pytest
 
-from adiclab.errors import BudgetExceeded, ParentMismatch
+from adiclab.adic import chain_profile
+from adiclab.errors import ParentMismatch
 from adiclab.modules import (FPModule, ModuleHom, compose, coordinates,
                              cyclic_module, direct_sum_module, free_module, hom_is_iso,
-                             ideal_power_act, identity_hom, image_coker,
-                             kernel_hom, module_is_zero,
+                             ideal_power_gens, identity_hom, image_coker,
+                             kernel_hom,
                              modules_equal, modules_isomorphic,
                              quotient_module, std_basis,
                              submodule_presentation,
-                             syzygies_with_relations, unit_vector, vec_add,
-                             vec_is_zero, vec_scale, zero_module)
+                             syzygies_with_relations, unit_vector,
+                             vec_is_zero, zero_module)
 from adiclab.rings import (ring_integers, ring_polynomial, ring_power_series,
                            ring_prime_field, ring_rationals)
 from adiclab.smith import smith_normal_form
@@ -170,62 +171,39 @@ def test_module_is_zero():
     Z = free_module(ZZ, 1)
     ident = identity_hom(Z)
     _, coker, _ = image_coker(ident)
-    assert module_is_zero(coker)
-    assert not module_is_zero(cyclic_module(ZZ, ZZ.from_int(12)))
+    assert coker.is_zero()
+    assert not cyclic_module(ZZ, ZZ.from_int(12)).is_zero()
     x = ring_polynomial(QQ, ("x",)).variable("x")
     QX = x.ring
     M = cyclic_module(QX, x, QX.one() + x)
-    assert module_is_zero(M)
+    assert M.is_zero()
 
 
 # ---------------------------------------------------------------------------
 # ideal powers
 
 
-def test_ideal_power_z12():
-    M = cyclic_module(ZZ, ZZ.from_int(12))
-    res = ideal_power_act([ZZ.from_int(2)], 3, M)
-    # oracle: enumerate Z/12; 2^3*(Z/12) = {0,4,8} = 4*(Z/12)
-    four = std_basis([ints(ZZ, 4), ints(ZZ, 12)], ZZ)
-    for g in res.submodule_gens:
-        assert four.contains(g)
-    assert res.stabilized_at == 2
-    assert modules_isomorphic(res.quotient, cyclic_module(ZZ, ZZ.from_int(4)))
-
-
-def test_ideal_power_nilpotent():
-    t = KT3.variable("t")
-    M = free_module(KT3, 1)
-    res = ideal_power_act([t], 3, M)
-    assert res.submodule.is_zero()
-    assert modules_equal(res.quotient, M)
-
-
 def test_ideal_power_xy_on_a_mod_x():
     x, y = QXY.variable("x"), QXY.variable("y")
     M = cyclic_module(QXY, x)
-    res = ideal_power_act([x, y], 2, M)
+    gens = ideal_power_gens([x, y], 2, M)
     oracle = std_basis([(y * y,), (x,)], QXY)
-    for g in res.submodule_gens:
+    for g in gens:
         assert oracle.contains(g)
-    assert oracle.contains((y * y,))
-    assert not oracle.contains((y,))
-    assert res.stabilized_at is None
-    with pytest.raises(BudgetExceeded):
-        ideal_power_act([x], 99, M, budget=16)
+    span = std_basis(gens + list(M.relations), QXY)
+    assert span.contains((y * y,))
+    assert not span.contains((y,))
+    assert chain_profile(M, [x, y]).status == "strict_forever"
 
 
 def test_ideal_power_monotone():
     M = cyclic_module(ZZ, ZZ.from_int(36))
-    prev = None
+    six = [ZZ.from_int(6)]
     for k in range(4):
-        res = ideal_power_act([ZZ.from_int(6)], k, M)
-        if prev is not None:
-            basis = std_basis(list(prev) + list(M.relations), ZZ)
-            # a^{k}M must contain a^{k+1}M
-            for g in res.submodule_gens:
-                assert basis.contains(g)
-        prev = res.submodule_gens
+        # a^k M must contain a^(k+1) M
+        basis = std_basis(ideal_power_gens(six, k, M) + list(M.relations), ZZ)
+        for g in ideal_power_gens(six, k + 1, M):
+            assert basis.contains(g)
 
 
 # ---------------------------------------------------------------------------

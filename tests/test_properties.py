@@ -25,8 +25,8 @@ from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec,
                              hom_is_surjective, ideal_power_gens,
                              image_coker, kernel_hom, lift_elem,
                              modules_equal, modules_isomorphic,
-                             std_basis, unit_vector, vec_add, vec_is_zero,
-                             vec_scale, work_rows, zero_vector)
+                             std_basis, unit_vector, vec_is_zero, work_rows,
+                             zero_vector)
 from adiclab.rings import (IntegerScalars, PrimeFieldScalars, RationalScalars,
                            RingElem, elem_divstep, element_to_str,
                            make_ring, parse_element,
@@ -40,6 +40,11 @@ from adiclab.theorems import (build_example1, check_lemma1, check_theorem2,
 ZZ = ring_integers()
 QQ = ring_rationals()
 B = Budgets(depth=8, window=6, stages=3)
+
+
+def _plus_multiple(u, v, c):
+    """The vector u + c v."""
+    return tuple(a + c * b for a, b in zip(u, v))
 
 
 def _random_free_complex(rng, ring, max_len=2, max_rank=2):
@@ -185,8 +190,8 @@ def test_adjunction_on_telescope_stages():
     R = ring_polynomial(QQ, ("x", "y"))
     xv, yv = R.variable("x"), R.variable("y")
     M = cyclic_module(R, xv * xv, yv)
-    TF = telescope_stage([xv], 2).complex
-    TG = telescope_stage([yv], 2).complex
+    TF = telescope_stage(xv, 2).complex
+    TG = telescope_stage(yv, 2).complex
     lhs, rhs, perms = _adjunction_permutations(TF, TG, M)
     for j in sorted(set(lhs.entries) | set(rhs.entries)):
         assert lhs.entry(j).ambient_rank == rhs.entry(j).ambient_rank
@@ -310,7 +315,7 @@ def test_one_reduction_loop_normal_forms_and_witnesses(case):
     assert {k: c for k, c in full.items() if k[0] < npos} == nf
     span = _dict_to_vec(nf, npos, ring)
     for w, r in zip(_dict_to_vec(witness, len(rows), ring), rows):
-        span = vec_add(span, vec_scale(r, w))
+        span = _plus_multiple(span, r, w)
     assert span == v
     for r in rows:
         assert mb.contains(_vec_to_dict(r))[0]
@@ -348,7 +353,7 @@ def _gens_relations_vectors(draw, rings=_TAG_RINGS):
     rels = [vector() for _ in range(draw(st.integers(0, 1)))]
     combo = zero_vector(ring, npos)
     for g in gens + rels:
-        combo = vec_add(combo, vec_scale(g, element()))
+        combo = _plus_multiple(combo, g, element())
     return ring, npos, gens, rels, [vector(), combo]
 
 
@@ -454,7 +459,7 @@ def test_coordinates_are_sound(case):
             continue
         residual = v
         for ci, g in zip(c, gens):
-            residual = vec_add(residual, vec_scale(g, -ci))
+            residual = _plus_multiple(residual, g, -ci)
         assert rel_span.contains(residual)
 
 
@@ -683,10 +688,8 @@ def _walked_chain_profile(M, gens, budgets):
     """The chain analysis as a plain walk: S_k = a^k F + R from S_0 = F up
     to the depth budget, then the certificates for what it left open."""
     gens = [a for a in gens if not a.is_zero()]
-    budget = budgets.as_dict()
     if M.is_zero():
-        return ChainProfile("stabilized", 0, (), {"kind": "zero_module"},
-                            False, budget)
+        return ChainProfile("stabilized", 0, (), {"kind": "zero_module"})
 
     def span(vectors):
         return std_basis(list(vectors) + list(M.relations), M.ring,
@@ -696,8 +699,7 @@ def _walked_chain_profile(M, gens, budgets):
         tail = tuple(v for v in map(M.normal_form, basis)
                      if not vec_is_zero(v))
         return ChainProfile("stabilized", k, tail,
-                            {"kind": "chain_iteration", "index": k},
-                            bool(tail), budget)
+                            {"kind": "chain_iteration", "index": k})
 
     prev = span(ideal_power_gens(gens, 0, M))
     cur = span(ideal_power_gens(gens, 1, M) if gens else [])
@@ -709,22 +711,20 @@ def _walked_chain_profile(M, gens, budgets):
             return stabilized(k, cur)
         cur = nxt
     if euclidean_capable(M.ring):
-        return adic._euclid_chain(M, gens, budgets)
+        return adic._euclid_chain(M, gens)
     if adic._graded_positive(M, gens):
         nil = [nilpotent_on_module(a, M) for a in gens]
         if all(x is True for x in nil):
             return ChainProfile("unknown", None, (), {
-                "kind": "nilpotent_beyond_budget"}, None, budget)
+                "kind": "nilpotent_beyond_budget"})
         if False in nil:
             return ChainProfile(
                 "strict_forever", None, (),
                 {"kind": "graded_nakayama",
                  "non_nilpotent_generator": element_to_str(
                      gens[nil.index(False)]),
-                 "note": "graded chain stabilizes only at zero"},
-                False, budget)
-    return ChainProfile("unknown", None, (), {"kind": "budget_exhausted"},
-                        None, budget)
+                 "note": "graded chain stabilizes only at zero"})
+    return ChainProfile("unknown", None, (), {"kind": "budget_exhausted"})
 
 
 ZT = ring_polynomial(ZZ, ("t",))
