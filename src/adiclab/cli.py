@@ -60,6 +60,14 @@ def _of_type(value, kind, path):
     return value
 
 
+def _strings(values, path):
+    """The list `values`, when every item is a string (the JSON form of a
+    ring element); else a ParseError at the first item that is not."""
+    for j, v in enumerate(values):
+        _of_type(v, str, f"{path}[{j}]")
+    return values
+
+
 def _check_keys(obj, required, optional, path):
     _of_type(obj, dict, path)
     for k in required:
@@ -96,6 +104,7 @@ def _parse_module(ring, data, path) -> FPModule:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{path}.relations[{i}]",
                              f"expected a row of {n} coefficient strings")
+        _strings(row, f"{path}.relations[{i}]")
         try:
             rels.append(tuple(parse_element(ring, s) for s in row))
         except AdicLabError as e:
@@ -140,7 +149,8 @@ def _parse_complex(ring, data, modules, path) -> BoundedComplex:
                              "differential outside the declared window")
         for i, row in enumerate(_of_type(mat, list,
                                          f"{path}.differentials.{key}")):
-            _of_type(row, list, f"{path}.differentials.{key}[{i}]")
+            _strings(_of_type(row, list, f"{path}.differentials.{key}[{i}]"),
+                     f"{path}.differentials.{key}[{i}]")
         try:
             rows = [tuple(parse_element(ring, s) for s in row) for row in mat]
             diffs[j] = ModuleHom(src, tgt, rows)
@@ -207,6 +217,7 @@ def parse_instance(data, path="$") -> Instance:
         if not isinstance(gens, list):
             raise ParseError(f"{path}.ideals.{name}",
                              "an ideal is a list of coefficient strings")
+        _strings(gens, f"{path}.ideals.{name}")
         try:
             ideals[name] = [parse_element(ring, s) for s in gens]
         except AdicLabError as e:
@@ -220,8 +231,10 @@ def parse_instance(data, path="$") -> Instance:
             raise ParseError(mpath, "variables must be between 1 and 4")
         src = ring_polynomial(ring_integers(),
                               tuple(f"t{i+1}" for i in range(nvars)))
-        images = _of_type(mdata["images"], list, f"{mpath}.images")
-        kernel = _of_type(mdata.get("kernel", []), list, f"{mpath}.kernel")
+        images = _strings(_of_type(mdata["images"], list, f"{mpath}.images"),
+                          f"{mpath}.images")
+        kernel = _strings(_of_type(mdata.get("kernel", []), list,
+                                   f"{mpath}.kernel"), f"{mpath}.kernel")
         try:
             images = tuple(parse_element(ring, s) for s in images)
             f = RingMap(src, ring, images)

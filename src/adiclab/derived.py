@@ -4,7 +4,8 @@ decision procedure.
 The telescope at stage N for a single element a is the two-term free
 complex on delta_0..delta_N in degrees 0 and 1 with differential
 d(delta_i) = delta_(i-1) - a*delta_i (reading delta_(-1) = 0); its plus
-part omits delta_0 in degree 0.  These satisfy the executable identities
+part, the only part the Ext analysis reads and so the only one built,
+omits delta_0 in degree 0.  These satisfy the executable identities
 everything downstream relies on: Hom into a module M has stage cohomology
 M/a^(N+1)M in degree 0 and the a^(N+1)-annihilator in degree -1, the stage
 towers realize the completion and multiplication towers, and the stage
@@ -42,21 +43,7 @@ from .verdicts import Verdict
 class TelescopeStage:
     element: RingElem
     stage: int
-    complex: BoundedComplex
     plus_part: BoundedComplex
-
-
-def _single_telescope(a: RingElem, N: int) -> BoundedComplex:
-    ring = a.ring
-    F = free_module(ring, N + 1)
-    z = ring.zero()
-    mat = [[z] * (N + 1) for _ in range(N + 1)]
-    for c in range(N + 1):
-        if c >= 1:
-            mat[c - 1][c] = mat[c - 1][c] + ring.one()
-        mat[c][c] = mat[c][c] - a
-    d = ModuleHom(F, F, mat, check=False)
-    return BoundedComplex(ring, {0: F, 1: F}, {0: d}, check=False)
 
 
 def _single_plus(a: RingElem, N: int) -> BoundedComplex:
@@ -74,10 +61,11 @@ def _single_plus(a: RingElem, N: int) -> BoundedComplex:
 
 
 def telescope_stage(a: RingElem, N: int) -> TelescopeStage:
-    """Finite telescope stage N for one element, with its plus part."""
+    """Finite telescope stage N for one element, as its plus part: the Ext
+    analysis reads nothing else."""
     if N < 1:
         raise BudgetExceeded("telescope stage must be >= 1")
-    return TelescopeStage(a, N, _single_telescope(a, N), _single_plus(a, N))
+    return TelescopeStage(a, N, _single_plus(a, N))
 
 
 def shift_complex_map(phi: ComplexMap, k: int) -> ComplexMap:

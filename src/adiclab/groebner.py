@@ -4,11 +4,13 @@ One engine covers every computable coefficient situation the workbench
 needs: classic Buchberger over field scalars, strong (S- and G-polynomial)
 Buchberger over the integers, and the degenerate zero-variable case, which
 amounts to Hermite-style row reduction.  Free-module terms are ordered
-position-over-term, so a tagged run performs elimination: input rows are
-tagged with unit vectors in a trailing block of positions, rows whose
-leading block vanishes are syzygies of the inputs, and reductions accumulate
-membership witnesses.  Tags make completion compute every syzygy of the
-inputs, so callers ask for them only to read syzygies or witnesses.
+position-over-term, so a tagged run performs elimination: the first rows
+of the input are tagged with unit vectors in a trailing block of positions,
+the rest enter untagged, rows whose leading block vanishes are syzygies of
+the tagged rows modulo the span of the untagged ones, and reductions
+accumulate membership witnesses over the tagged rows.  Tags make completion
+compute those syzygies, so callers ask for them only to read syzygies or
+witnesses.
 
 One reduction loop serves completion, normal forms and witnesses.
 Completion and inter-reduction reduce every position; normal forms and
@@ -48,7 +50,7 @@ def _scale_shift(row: dict, coeff, mono, domain) -> dict:
     out = {}
     for (pos, e), c in row.items():
         v = domain.mul(c, coeff)
-        if v != domain.zero:
+        if v:
             out[(pos, tuple(a + b for a, b in zip(e, mono)))] = v
     return out
 
@@ -56,7 +58,7 @@ def _scale_shift(row: dict, coeff, mono, domain) -> dict:
 def _add_into(target: dict, addition: dict, domain) -> None:
     for key, c in addition.items():
         s = domain.add(target.get(key, domain.zero), c)
-        if s == domain.zero:
+        if not s:
             target.pop(key, None)
         else:
             target[key] = s
@@ -79,25 +81,25 @@ def _build_index(leads, rows) -> dict:
 class ModuleBasis:
     """Canonical basis of the span of `rows` inside positions 0..npos-1.
 
-    When want_tags is set, each input row i is tagged with the unit vector
-    at virtual position npos+i; completed rows whose leading block is zero
-    yield the syzygies of the inputs, and normal forms report witnesses.
+    Each of the first `tags` input rows, i, is tagged with the unit vector
+    at virtual position npos+i, and the other rows enter untagged (0 means
+    no tags).  Completed rows whose leading block is zero yield the
+    syzygies of the tagged rows modulo the span of the untagged ones, and
+    normal forms report witnesses over the tagged rows.
     """
 
     def __init__(self, rows, npos: int, nvars: int, domain, mono_key,
-                 want_tags: bool = True):
+                 tags: int):
         self.npos = npos
         self.nvars = nvars
         self.domain = domain
         self.mono_key = mono_key
-        self.want_tags = want_tags
         tagged = []
         zero_mono = (0,) * nvars
         for i, row in enumerate(rows):
-            r = {k: v for k, v in row.items() if v != domain.zero}
-            if want_tags:
-                key = (npos + i, zero_mono)
-                r[key] = domain.add(r.get(key, domain.zero), domain.one)
+            r = {k: v for k, v in row.items() if v}
+            if i < tags:
+                r[(npos + i, zero_mono)] = domain.one
             if r:
                 tagged.append(r)
         self.rows, self.leads = self._canonicalize(*self._saturate(tagged))
@@ -127,7 +129,7 @@ class ModuleBasis:
             if not exps_divides(ge, e):
                 continue
             q, _ = dom.divstep(coeff, gc)
-            if q != dom.zero:
+            if q:
                 return g, exps_sub(e, ge), q
         return None
 
@@ -140,7 +142,7 @@ class ModuleBasis:
         tag block of the result accumulates the membership witness.
         """
         dom = self.domain
-        v = {k: c for k, c in v.items() if c != dom.zero}
+        v = {k: c for k, c in v.items() if c}
         term_keys = {}  # of the terms met in this call
         done = set()
         while True:
@@ -215,7 +217,7 @@ class ModuleBasis:
                 candidates.append(s)
                 _, rem_fg = dom.divstep(cg, cf)
                 _, rem_gf = dom.divstep(cf, cg)
-                if rem_fg != dom.zero and rem_gf != dom.zero:
+                if rem_fg and rem_gf:
                     # gcd combination, needed for a strong basis over ZZ
                     t = _scale_shift(f, sc, mf, dom)
                     _add_into(t, _scale_shift(g, tc, mg, dom), dom)
@@ -249,7 +251,7 @@ class ModuleBasis:
                 if pos2 != pos or not exps_divides(e2, e):
                     continue
                 q, rem = dom.divstep(c, c2)
-                if rem != dom.zero:
+                if rem:
                     continue
                 if (e2, self.domain.size(c2) if not dom.is_field else 0) == \
                    (e, self.domain.size(c) if not dom.is_field else 0) and jdx > idx:
@@ -284,10 +286,9 @@ class ModuleBasis:
                 for r in self.basis]
 
     def syzygies(self):
-        """Generating relations among the tagged inputs, as rows over the
-        tag coordinates (coordinate i is input row i)."""
-        if not self.want_tags:
-            raise ValueError("basis built without tags")
+        """Generating relations among the tagged inputs modulo the span of
+        the untagged ones, as rows over the tag coordinates (coordinate i is
+        input row i); none when the basis has no tags."""
         return [{(pos - self.npos, e): c for (pos, e), c in r.items()}
                 for r in self._syzygy_rows]
 
@@ -297,10 +298,11 @@ class ModuleBasis:
         return {k: c for k, c in nf.items() if k[0] < self.npos}
 
     def reduce_with_witness(self, v: dict):
-        """(normal form, witness) with v = nf + sum_i witness_i * input_i.
+        """(normal form, witness) with v = nf + sum_i witness_i * input_i
+        modulo the span of the untagged inputs.
 
         The witness is a dict over tag coordinates; it is only meaningful
-        when the basis was built with tags.
+        when the basis has tags.
         """
         dom = self.domain
         nf, witness = {}, {}

@@ -87,8 +87,9 @@ def vec_is_zero(v) -> bool:
 # standard bases
 
 
-def _engine_basis(ring: RingSpec, ambient: int, vectors, want_tags: bool):
-    """Engine basis of the vectors plus the ring's structural relations."""
+def _engine_basis(ring: RingSpec, ambient: int, vectors, tags: int):
+    """Engine basis of the vectors plus the ring's structural relations,
+    the first `tags` vectors tagged."""
     vectors = [tuple(v) for v in vectors]
     for v in vectors:
         if len(v) != ambient:
@@ -105,7 +106,7 @@ def _engine_basis(ring: RingSpec, ambient: int, vectors, want_tags: bool):
             rows.append({(i, e): c for e, c in terms.items()})
     return ModuleBasis(rows, npos=ambient, nvars=w.nvars,
                        domain=w.domain, mono_key=w.mono_key,
-                       want_tags=want_tags)
+                       tags=tags)
 
 
 def _query_row(ring: RingSpec, ambient: int, vec) -> dict:
@@ -120,7 +121,7 @@ class StdBasis:
     def __init__(self, ring: RingSpec, ambient_rank: int, gens):
         self.ring = ring
         self.ambient_rank = ambient_rank
-        self._mb = _engine_basis(ring, ambient_rank, gens, want_tags=False)
+        self._mb = _engine_basis(ring, ambient_rank, gens, tags=0)
         self.generators = tuple(
             v for v in (
                 _dict_to_vec(row, ambient_rank, ring)
@@ -151,12 +152,15 @@ def std_basis(gens, ring: RingSpec, ambient_rank: int | None = None) -> StdBasis
 
 
 def _tagged_basis(gens, relations, ring: RingSpec, ambient: int) -> ModuleBasis:
-    """Engine basis of gens then relations, tagged with the combinations."""
-    return _engine_basis(ring, ambient, [*gens, *relations], want_tags=True)
+    """Engine basis of gens then relations, with only gens tagged: its
+    syzygies and witnesses are taken modulo the relations."""
+    return _engine_basis(ring, ambient, [*gens, *relations], tags=len(gens))
 
 
 def syzygies_with_relations(gens, relations, ring: RingSpec, ambient: int):
-    """Generators of {z : sum z_i g_i lies in the span of the relations}."""
+    """Generators of {z : sum z_i g_i lies in the span of the relations},
+    read off the reduced basis of that module over the work ring.  Only gens
+    carry tags, so the syzygies among the relations are never built."""
     basis = _tagged_basis(gens, relations, ring, ambient)
     k = len(gens)
     out = []
@@ -173,7 +177,10 @@ def syzygies_with_relations(gens, relations, ring: RingSpec, ambient: int):
 
 def coordinates(vectors, gens, relations, ring: RingSpec, ambient: int):
     """Per vector v, coefficients c with v - sum c_i gens_i in the span of
-    the relations, or None when v is not in the span of gens and relations."""
+    the relations, or None when v is not in the span of gens and relations.
+
+    c is read from the tags of gens alone, the relations entering untagged,
+    and is a normal form modulo the syzygies of gens modulo the relations."""
     basis = _tagged_basis(gens, relations, ring, ambient)
     out = []
     for v in vectors:

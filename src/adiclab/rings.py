@@ -8,7 +8,7 @@ no floating point is used anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .errors import DivisionByZero, InvalidRing, ParentMismatch, UnsupportedRing
@@ -112,7 +112,9 @@ class RationalScalars:
     def coerce(self, v):
         if isinstance(v, bool):
             raise InvalidRing("booleans are not ring scalars")
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, Fraction):
+            return v
+        if isinstance(v, int):
             return Fraction(v)
         raise InvalidRing(f"not a rational scalar: {v!r}")
 
@@ -129,14 +131,14 @@ class RationalScalars:
         return a != 0
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise DivisionByZero("inverse of zero")
-        return 1 / Fraction(a)
+        return 1 / a
 
     def divstep(self, a, b):
-        if b == 0:
+        if not b:
             raise DivisionByZero("division by zero")
-        return (Fraction(a) / b, Fraction(0))
+        return a / b, self.zero
 
     def normalizer(self, a):
         return self.inv(a) if a != 0 else Fraction(1)
@@ -237,6 +239,17 @@ class RingSpec:
     structural: tuple = field(init=False, compare=False, repr=False)
     quotient_basis: object = field(init=False, compare=False, repr=False)
 
+    def __eq__(self, other):
+        # elements, modules and maps compare their rings on every operation,
+        # and nearly always meet the same RingSpec object; other pairs
+        # compare the fields that hashing reads
+        if self is other:
+            return True
+        if other.__class__ is not RingSpec:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in _COMPARED_FIELDS)
+
     def __post_init__(self):
         kind = self.kind
         if kind == INTEGERS:
@@ -258,7 +271,7 @@ class RingSpec:
                 basis = ModuleBasis([{(0, e): c for e, c in t.items()}
                                      for t in structural],
                                     npos=1, nvars=work.nvars, domain=domain,
-                                    mono_key=work.mono_key, want_tags=False)
+                                    mono_key=work.mono_key, tags=0)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "work", work)
         object.__setattr__(self, "structural", structural)
@@ -331,6 +344,9 @@ class RingSpec:
             rels = ", ".join(element_to_str(g) for g in self.ideal_gens)
             return f"{self.base!r}/({rels})"
         return f"{self.base!r}[{self.vars[0]}]/({self.vars[0]}^{self.precision})"
+
+
+_COMPARED_FIELDS = tuple(f.name for f in fields(RingSpec) if f.compare)
 
 
 # -- constructors ----------------------------------------------------------
@@ -550,7 +566,7 @@ class RingElem:
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = dom.add(out.get(e, dom.zero), c)
-            if s == dom.zero:
+            if not s:
                 out.pop(e, None)
             else:
                 out[e] = s
@@ -577,7 +593,7 @@ class RingElem:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 s = dom.add(out.get(e, dom.zero), dom.mul(c1, c2))
-                if s == dom.zero:
+                if not s:
                     out.pop(e, None)
                 else:
                     out[e] = s
@@ -588,10 +604,10 @@ class RingElem:
     def scale(self, c) -> "RingElem":
         dom = self.ring.domain
         c = dom.coerce(c)
-        if c == dom.zero:
+        if not c:
             return self.ring.zero()
         out = {e: dom.mul(v, c) for e, v in self.terms.items()}
-        return RingElem(self.ring, {e: v for e, v in out.items() if v != dom.zero})
+        return RingElem(self.ring, {e: v for e, v in out.items() if v})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -628,12 +644,12 @@ def _normalize_terms(ring: RingSpec, terms: dict) -> dict:
         if len(e) != nv or any(x < 0 for x in e):
             raise InvalidRing(f"bad exponent tuple {e} for {ring!r}")
         c = dom.coerce(c)
-        if c == dom.zero:
+        if not c:
             continue
         if ring.kind == POWER_SERIES and e[0] >= ring.precision:
             continue
         s = dom.add(out.get(e, dom.zero), c)
-        if s == dom.zero:
+        if not s:
             out.pop(e, None)
         else:
             out[e] = s

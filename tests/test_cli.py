@@ -303,6 +303,28 @@ def _z12_map(**fields):
      "$.ring: p must be an integer, not a boolean"),
     (_z12_ring(kind="truncated_power_series", precision=True),
      "$.ring: precision must be an integer, not a boolean"),
+    # ring elements are JSON strings, never numbers or booleans
+    (_edited(z12_instance(),
+             lambda d: d["modules"]["M"].update(relations=[[12]])),
+     "$.modules.M.relations[0][0]: expected a string, got int"),
+    (_edited(z12_instance(),
+             lambda d: d["modules"]["M"].update(relations=[[True]])),
+     "$.modules.M.relations[0][0]: expected a string, got bool"),
+    (_z12_complex(differentials={"0": [[4]]}),
+     "$.complexes.C.differentials.0[0][0]: expected a string, got int"),
+    (_z12_complex(entries={"0": {"ambient_rank": 1, "relations": [[2.5]]},
+                           "1": {"ambient_rank": 1}}),
+     "$.complexes.C.entries.0.relations[0][0]: expected a string, "
+     "got float"),
+    (_edited(z12_instance(), lambda d: d.update(ideals={"a": [2]})),
+     "$.ideals.a[0]: expected a string, got int"),
+    (_edited(z12_instance(), lambda d: d.update(ideals={"a": ["2", None]})),
+     "$.ideals.a[1]: expected a string, got NoneType"),
+    (_z12_map(images=[2]), "$.maps.f.images[0]: expected a string, got int"),
+    (_z12_map(kernel=[False]),
+     "$.maps.f.kernel[0]: expected a string, got bool"),
+    (_z12_task(command="check_lemma1", element=True),
+     "$.tasks[0].element: expected a string, got bool"),
 ])
 def test_malformed_numeric_field_is_parse_error(tmp_path, capsys, data,
                                                 position):

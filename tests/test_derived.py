@@ -5,10 +5,11 @@ from adiclab.adic import Budgets, DecayModule, memo_scope
 from adiclab.complexes import cohomology, hom_complex, shift_complex
 from adiclab.derived import (ext_localization, is_cohomologically_complete,
                              koszul_route_cc, telescope_stage)
-from adiclab.modules import (cyclic_module, free_module, modules_equal,
-                             modules_isomorphic, zero_module)
+from adiclab.modules import (FPModule, cyclic_module, free_module,
+                             modules_equal, modules_isomorphic, zero_module)
 from adiclab.rings import (ring_integers, ring_polynomial, ring_power_series,
                            ring_rationals)
+from tests_util_telescope import single_telescope
 
 ZZ = ring_integers()
 QQ = ring_rationals()
@@ -18,10 +19,10 @@ B = Budgets(depth=8, window=6, stages=4)
 
 
 def test_telescope_single_ranks():
-    tel = telescope_stage(ZZ.from_int(2), 3)
-    assert tel.complex.entry(0).ambient_rank == 4
-    assert tel.complex.entry(1).ambient_rank == 4
-    plus = tel.plus_part
+    tel = single_telescope(ZZ.from_int(2), 3)
+    assert tel.entry(0).ambient_rank == 4
+    assert tel.entry(1).ambient_rank == 4
+    plus = telescope_stage(ZZ.from_int(2), 3).plus_part
     assert plus.entry(0).ambient_rank == 3
     assert plus.entry(1).ambient_rank == 4
 
@@ -72,7 +73,7 @@ def test_derived_completion_stage_nilpotent():
     t = KT3.variable("t")
     M = free_module(KT3, 1)
     # stage H^0 of Hom(Tel_3, M) is M/t^4 M = M
-    H0 = cohomology(hom_complex(telescope_stage(t, 3).complex, M), 0)
+    H0 = cohomology(hom_complex(single_telescope(t, 3), M), 0)
     assert modules_isomorphic(H0, M)
     v = is_cohomologically_complete(M, [t], B)
     assert v.holds()
@@ -80,8 +81,8 @@ def test_derived_completion_stage_nilpotent():
 
 def test_derived_completion_stage_zz():
     Z = free_module(ZZ, 1)
-    tel = telescope_stage(ZZ.from_int(2), 3)
-    H0 = cohomology(hom_complex(tel.complex, Z), 0)
+    tel = single_telescope(ZZ.from_int(2), 3)
+    H0 = cohomology(hom_complex(tel, Z), 0)
     assert modules_isomorphic(H0, cyclic_module(ZZ, ZZ.from_int(16)))
     v = is_cohomologically_complete(Z, [ZZ.from_int(2)], B)
     assert v.fails()
@@ -89,8 +90,8 @@ def test_derived_completion_stage_zz():
 
 
 def test_derived_completion_zero_module():
-    tel = telescope_stage(ZZ.from_int(2), 2)
-    assert not hom_complex(tel.complex, zero_module(ZZ)).entries
+    tel = single_telescope(ZZ.from_int(2), 2)
+    assert not hom_complex(tel, zero_module(ZZ)).entries
 
 
 def test_cc_examples():
@@ -170,3 +171,16 @@ def test_cc_runs_each_telescope_analysis_once(monkeypatch):
     assert both.details["stage_value_matches_module"] is True
     assert "stage_value_matches_module" not in tele.details
     assert len(stages) == 4 and len(isos) == 2
+
+
+@pytest.mark.parametrize("rows, a, status", [
+    ([(5, 9), (0, -6), (6, 0), (0, 4)], 5, "fails"),
+    ([(-2, 9), (-4, 1), (9, 0)], 4, "holds"),
+])
+def test_ext0_telescope_on_wide_zz_presentations(rows, a, status):
+    # the telescope route's syzygies modulo these relations took from 35 s
+    # to minutes while the relation rows were tagged along with the gens
+    M = FPModule(ZZ, 2, [tuple(ZZ.from_int(c) for c in r) for r in rows])
+    e = ext_localization(0, ZZ.from_int(a), M, route="both")
+    assert e.vanishing.status == status
+    assert e.agreement is True

@@ -15,8 +15,7 @@ from adiclab.complexes import (BoundedComplex, ComplexMap, cohomology,
                                complex_from_module, hom_complex,
                                tensor_complex)
 from adiclab import modules, verdicts
-from adiclab.derived import (ext_localization, is_cohomologically_complete,
-                             telescope_stage)
+from adiclab.derived import ext_localization, is_cohomologically_complete
 from adiclab.groebner import ModuleBasis
 from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec,
                              _engine_basis, _query_row, _vec_to_dict,
@@ -36,6 +35,7 @@ from adiclab.rings import (IntegerScalars, PrimeFieldScalars, RationalScalars,
 from adiclab.smith import smith_normal_form
 from adiclab.theorems import (build_example1, check_lemma1, check_theorem2,
                               check_theorem4)
+from tests_util_telescope import single_telescope
 
 ZZ = ring_integers()
 QQ = ring_rationals()
@@ -190,8 +190,8 @@ def test_adjunction_on_telescope_stages():
     R = ring_polynomial(QQ, ("x", "y"))
     xv, yv = R.variable("x"), R.variable("y")
     M = cyclic_module(R, xv * xv, yv)
-    TF = telescope_stage(xv, 2).complex
-    TG = telescope_stage(yv, 2).complex
+    TF = single_telescope(xv, 2)
+    TG = single_telescope(yv, 2)
     lhs, rhs, perms = _adjunction_permutations(TF, TG, M)
     for j in sorted(set(lhs.entries) | set(rhs.entries)):
         assert lhs.entry(j).ambient_rank == rhs.entry(j).ambient_rank
@@ -305,7 +305,7 @@ def test_one_reduction_loop_normal_forms_and_witnesses(case):
     ring, npos, rows, v = case
     mb = ModuleBasis([_vec_to_dict(r) for r in rows], npos=npos,
                      nvars=ring.nvars, domain=ring.domain,
-                     mono_key=ring.mono_key)
+                     mono_key=ring.mono_key, tags=len(rows))
     d = _vec_to_dict(v)
     nf, witness = mb.reduce_with_witness(d)
     assert mb.normal_form(d) == nf
@@ -330,10 +330,10 @@ _ENGINE_RINGS = _TAG_RINGS + [
 
 
 @st.composite
-def _gens_relations_vectors(draw, rings=_TAG_RINGS):
-    """Generators and relations over one of rings (by default ZZ, QQ[x,y],
-    GF(5)[x,y] or QQ[[t]]/t^8) in 1-2 positions, one random vector and one
-    combination of the generators and relations."""
+def _gens_relations_vectors(draw, rings=_TAG_RINGS, nrels=(0, 1)):
+    """Generators and nrels[0]..nrels[1] relations over one of rings (by
+    default ZZ, QQ[x,y], GF(5)[x,y] or QQ[[t]]/t^8) in 1-2 positions, one
+    random vector and one combination of the generators and relations."""
     ring = draw(st.sampled_from(rings))
     npos = draw(st.integers(1, 2))
 
@@ -350,7 +350,7 @@ def _gens_relations_vectors(draw, rings=_TAG_RINGS):
         return tuple(element() for _ in range(npos))
 
     gens = [vector() for _ in range(draw(st.integers(1, 2)))]
-    rels = [vector() for _ in range(draw(st.integers(0, 1)))]
+    rels = [vector() for _ in range(draw(st.integers(*nrels)))]
     combo = zero_vector(ring, npos)
     for g in gens + rels:
         combo = _plus_multiple(combo, g, element())
@@ -365,8 +365,8 @@ def test_tagless_basis_agrees_with_tagged(case):
     rows = [_vec_to_dict(v) for v in work_rows(ring, npos, gens + rels)]
     tagged, tagless = (
         ModuleBasis(rows, npos=npos, nvars=w.nvars, domain=w.domain,
-                    mono_key=w.mono_key, want_tags=tags)
-        for tags in (True, False))
+                    mono_key=w.mono_key, tags=tags)
+        for tags in (len(rows), 0))
     assert tagged.generators() == tagless.generators()
     for v in vectors:
         d = _vec_to_dict(tuple(lift_elem(ring, e) for e in v))
@@ -381,7 +381,7 @@ def test_direct_engine_rows_equal_work_ring_rows(case):
     fed = []
     with mock.patch.object(modules, "ModuleBasis",
                            lambda rows, **kw: fed.append(rows)):
-        _engine_basis(ring, npos, gens + rels, want_tags=False)
+        _engine_basis(ring, npos, gens + rels, tags=0)
     assert fed == [[_vec_to_dict(v) for v in work_rows(ring, npos,
                                                          gens + rels)]]
     for v in vectors:
@@ -431,7 +431,7 @@ def test_stored_leading_terms_and_query_index(case, tags):
     w = ring.work
     rows = [_vec_to_dict(v) for v in work_rows(ring, npos, gens + rels)]
     mb = ModuleBasis(rows, npos=npos, nvars=w.nvars, domain=w.domain,
-                     mono_key=w.mono_key, want_tags=tags)
+                     mono_key=w.mono_key, tags=len(rows) if tags else 0)
 
     def term_order(key):
         return (-key[0], w.mono_key(key[1]))
@@ -461,6 +461,41 @@ def test_coordinates_are_sound(case):
         for ci, g in zip(c, gens):
             residual = _plus_multiple(residual, g, -ci)
         assert rel_span.contains(residual)
+
+
+_MODULO_RINGS = [ZZ, QQ, ring_prime_field(5), ring_polynomial(QQ, ("x",)),
+                 ring_polynomial(ring_prime_field(5), ("x", "y")),
+                 ring_polynomial(ZZ, ("t",)), ring_power_series(QQ, "t", 6)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gens_relations_vectors(_MODULO_RINGS, nrels=(1, 2)))
+def test_tagging_only_gens_equals_tagging_every_row(case):
+    """Syzygies and coordinates, which tag only the generators, equal what
+    a build that tags every row (relations and the ring's structural rows
+    too) gives when projected onto the generators' tags."""
+    ring, npos, gens, rels, vectors = case
+    vectors = [*vectors, *gens]
+    w = ring.work
+    rows = [_vec_to_dict(v) for v in work_rows(ring, npos, gens + rels)]
+    oracle = ModuleBasis(rows, npos=npos, nvars=w.nvars, domain=w.domain,
+                         mono_key=w.mono_key, tags=len(rows))
+    k = len(gens)
+    syzygies, seen = [], set()
+    for row in oracle.syzygies():
+        vec = _dict_to_vec(row, k, ring)
+        key = tuple(e._sorted_key() for e in vec)
+        if not vec_is_zero(vec) and key not in seen:
+            seen.add(key)
+            syzygies.append(vec)
+    assert modules.syzygies_with_relations(gens, rels, ring, npos) == syzygies
+    assert modules.syzygies_with_relations([], rels, ring, npos) == []
+    witnesses = []
+    for v in vectors:
+        ok, witness = oracle.contains(_vec_to_dict(
+            tuple(lift_elem(ring, e) for e in v)))
+        witnesses.append(_dict_to_vec(witness, k, ring) if ok else None)
+    assert coordinates(vectors, gens, rels, ring, npos) == witnesses
 
 
 @st.composite
@@ -584,7 +619,7 @@ def test_ring_facts_equal_fresh_ones(ring, data):
         fresh = ModuleBasis([{(0, e): c for e, c in t.items()}
                              for t in structural], npos=1, nvars=work.nvars,
                             domain=domain, mono_key=work.mono_key,
-                            want_tags=False)
+                            tags=0)
         nf = fresh.normal_form({(0, e): c for e, c in
                                 RingElem(work, terms).terms.items()})
         assert elem.terms == {e: c for (_, e), c in nf.items()}
@@ -595,6 +630,8 @@ def test_ring_facts_equal_fresh_ones(ring, data):
     twin = make_ring(ring_to_desc(ring))
     assert twin is not ring
     assert twin == ring and hash(twin) == hash(ring)
+    for other in _FACT_RINGS:
+        assert (make_ring(ring_to_desc(other)) == ring) == (other is ring)
     twin_elem = RingElem(twin, terms)
     assert twin_elem == elem and hash(twin_elem) == hash(elem)
 
