@@ -16,13 +16,11 @@ from .rings import (RingElem, RingMap, RingSpec, apply_ring_map, elem_divstep,
                     element_to_str, make_ring, parse_element, ring_integers,
                     ring_polynomial, ring_power_series, ring_prime_field,
                     ring_quotient, ring_rationals)
-from .modules import (FPModule, ModuleHom, StdBasis, cyclic_module,
-                      free_module, image_coker, kernel_hom, modules_equal,
-                      modules_isomorphic, quotient_module, std_basis,
-                      zero_module)
-from .complexes import (BoundedComplex, ComplexMap, cohomology, cone,
-                        complex_from_module, hom_complex, is_quasi_iso,
-                        shift_complex, smart_truncate, tensor_complex)
+from .modules import (FPModule, ModuleHom, StdBasis, free_module,
+                      image_coker, kernel_hom, modules_isomorphic,
+                      quotient_module, std_basis, zero_module)
+from .complexes import (BoundedComplex, ComplexMap, cohomology,
+                        complex_from_module, hom_complex, shift_complex)
 from .verdicts import Verdict
 from .adic import (Budgets, DecayModule, Tower, chain_profile,
                    completion_tower, is_complete, is_separated, lim_tower,

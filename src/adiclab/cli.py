@@ -864,7 +864,7 @@ def main(argv=None) -> int:
 
     genp = sub.add_parser("generate", help="emit a deterministic corpus")
     genp.add_argument("--seed", type=int, required=True)
-    genp.add_argument("--count", type=int, default=1)
+    genp.add_argument("--count", type=_int_at_least(0), default=1)
     genp.add_argument("--profile", required=True)
     genp.add_argument("--out-dir", default=None)
 
@@ -907,8 +907,9 @@ def main(argv=None) -> int:
     serial = [functools.partial(run_instance, p, budgets) for p in distinct]
     if args.jobs > 1 and len(distinct) > 1:
         try:
+            # a fork pool starts all its workers at the first submit
             with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=args.jobs) as pool:
+                    max_workers=min(args.jobs, len(distinct))) as pool:
                 futures = [pool.submit(_run_one, (p, budgets.as_dict()))
                            for p in distinct]
                 runs = _collect(distinct, [f.result for f in futures])

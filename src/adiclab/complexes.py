@@ -1,10 +1,9 @@
 """Bounded complexes of finitely presented modules.
 
-Cohomology, smart truncation, Hom and tensor with finite free complexes,
-mapping cones, shifts, and quasi-isomorphism verdicts.  Sign conventions are
-fixed once: the Hom differential is (d f) = d o f - (-1)^n f o d, the tensor
-differential carries the Koszul sign on the second slot, and the shift C[k]
-relabels degree j to j - k while flipping differentials by (-1)^k.
+Cohomology, Hom out of finite free complexes, shifts, and the maps that
+chain maps induce on cohomology.  Sign conventions are fixed once: the Hom
+differential is (d f) = d o f - (-1)^n f o d, and the shift C[k] relabels
+degree j to j - k while flipping differentials by (-1)^k.
 """
 from __future__ import annotations
 
@@ -12,13 +11,9 @@ from dataclasses import dataclass
 
 from .errors import InvalidComplex, NotFree, ParentMismatch
 from .modules import (FPModule, ModuleHom, _kernel_gens, compose,
-                      coordinates, direct_sum_module, free_module,
-                      hom_is_surjective, identity_hom, kernel_hom,
-                      quotient_module, syzygies_with_relations,
+                      coordinates, direct_sum_module, syzygies_with_relations,
                       vec_is_zero, zero_hom, zero_module)
 from .rings import RingSpec
-from . import verdicts
-from .verdicts import Verdict
 
 
 class BoundedComplex:
@@ -85,15 +80,6 @@ class BoundedComplex:
         if j not in cache:
             cache[j] = _cohomology_data(self, j)
         return cache[j]
-
-    def cohomology_support(self):
-        return [j for j in self.window() if not self.cohomology_data(j).module.is_zero()]
-
-    def amplitude(self):
-        s = self.cohomology_support()
-        if not s:
-            return float("-inf")
-        return max(s) - min(s)
 
     def __repr__(self):
         parts = ", ".join(f"{j}:{m.ambient_rank}" for j, m in self.entries.items())
@@ -187,107 +173,8 @@ class ComplexMap:
                 raise InvalidComplex(f"square at degree {j} does not commute")
 
 
-def cone(phi: ComplexMap) -> BoundedComplex:
-    """Mapping cone: cone^j = source^(j+1) (+) target^j."""
-    S, T = phi.source, phi.target
-    ring = S.ring
-    degrees = set()
-    for j in S.entries:
-        degrees.add(j - 1)
-    degrees |= set(T.entries)
-    entries, diffs = {}, {}
-    for j in sorted(degrees):
-        entries[j] = direct_sum_module([S.entry(j + 1), T.entry(j)])
-    for j in sorted(degrees):
-        if j + 1 not in entries:
-            continue
-        sj1 = S.entry(j + 1)
-        tj = T.entry(j)
-        sj2 = S.entry(j + 2)
-        tj1 = T.entry(j + 1)
-        dS = S.differential(j + 1)
-        dT = T.differential(j)
-        ph = phi.component(j + 1)
-        rows = sj2.ambient_rank + tj1.ambient_rank
-        cols = sj1.ambient_rank + tj.ambient_rank
-        z = ring.zero()
-        mat = [[z] * cols for _ in range(rows)]
-        for r in range(sj2.ambient_rank):
-            for c in range(sj1.ambient_rank):
-                mat[r][c] = -dS.matrix[r][c]
-        for r in range(tj1.ambient_rank):
-            for c in range(sj1.ambient_rank):
-                mat[sj2.ambient_rank + r][c] = ph.matrix[r][c]
-            for c in range(tj.ambient_rank):
-                mat[sj2.ambient_rank + r][sj1.ambient_rank + c] = dT.matrix[r][c]
-        diffs[j] = ModuleHom(entries[j], entries.get(j + 1, zero_module(ring)),
-                             mat, check=False)
-    return BoundedComplex(ring, entries, diffs, check=False)
-
-
 # ---------------------------------------------------------------------------
-# smart truncation
-
-
-def smart_truncate(C: BoundedComplex, j: int):
-    """Kill cohomology in degrees >= j, keep it below.
-
-    Returns (truncated, (inclusion, projection)): the inclusion realizes the
-    canonical map into C; the projection maps C onto the complementary
-    quotient complex, whose only cohomology is that of C in degrees >= j.
-    """
-    ring = C.ring
-    k = j - 1  # top retained degree
-    dk = C.differential(k)
-    ker, incl_k = kernel_hom(dk)
-    kgens = [incl_k.column(t) for t in range(ker.ambient_rank)]
-
-    entries = {i: C.entry(i) for i in C.entries if i < k}
-    diffs = {i: C.diffs[i] for i in C.diffs if i + 1 < k}
-    incl_comps = {i: identity_hom(C.entry(i)) for i in C.entries if i < k}
-    if ker.ambient_rank or not C.entry(k).is_zero():
-        entries[k] = ker
-        incl_comps[k] = incl_k
-    if k - 1 in C.diffs or (k - 1) in entries:
-        # factor d^(k-1) through the kernel
-        dkm1 = C.differential(k - 1)
-        src = C.entry(k - 1)
-        cols = coordinates([dkm1.column(t) for t in range(src.ambient_rank)],
-                           kgens, C.entry(k).relations, ring,
-                           C.entry(k).ambient_rank)
-        if None in cols:
-            raise InvalidComplex("image of d^(k-1) not inside ker d^k")
-        mat = [[cols[t][r] for t in range(src.ambient_rank)]
-               for r in range(len(kgens))]
-        if k in entries:
-            diffs[k - 1] = ModuleHom(src, ker, mat, check=False)
-    truncated = BoundedComplex(ring, entries, diffs, check=False)
-    inclusion = ComplexMap(truncated, C, incl_comps, check=False)
-
-    # quotient side: C^k / ker in degree k, C^i above
-    q_entries = {i: C.entry(i) for i in C.entries if i > k}
-    qk = quotient_module(C.entry(k), kgens)
-    if not qk.is_zero():
-        q_entries[k] = qk
-    q_diffs = {i: C.diffs[i] for i in C.diffs if i > k}
-    if k in q_entries and (k + 1) in set(C.entries) | {d + 1 for d in C.diffs}:
-        q_diffs[k] = ModuleHom(qk, C.entry(k + 1), C.differential(k).matrix,
-                               check=False)
-    quotient = BoundedComplex(ring, q_entries, q_diffs, check=False)
-    proj_comps = {}
-    for i in q_entries:
-        if i == k:
-            proj_comps[i] = ModuleHom(C.entry(k), qk,
-                                      identity_hom(C.entry(k)).matrix,
-                                      check=False)
-        else:
-            proj_comps[i] = identity_hom(C.entry(i))
-    projection = ComplexMap(C, quotient, proj_comps, check=False)
-    return truncated, (inclusion, projection)
-
-
-# ---------------------------------------------------------------------------
-# Hom and tensor with finite free complexes
+# Hom out of finite free complexes
 
 
 def _free_rank(m: FPModule) -> int:
@@ -398,70 +285,8 @@ def hom_complex_map(phi: ComplexMap, X) -> ComplexMap:
     return ComplexMap(HG, HF, comps, check=False)
 
 
-def _tensor_blocks(F: BoundedComplex, G: BoundedComplex, n: int):
-    blocks = []
-    offset = 0
-    for p in sorted(F.entries):
-        q = n - p
-        if q not in G.entries:
-            continue
-        rp = _free_rank(F.entries[p])
-        rq = _free_rank(G.entries[q])
-        for i in range(rp):
-            for jj in range(rq):
-                blocks.append((p, i, jj, offset))
-                offset += 1
-    return blocks, offset
-
-
-def tensor_complex(F: BoundedComplex, G: BoundedComplex) -> BoundedComplex:
-    """Tensor of finite free complexes, Koszul sign on the second slot."""
-    ring = F.ring
-    if G.ring != ring:
-        raise ParentMismatch("tensor over mixed rings")
-    degrees = set()
-    for p in F.entries:
-        for q in G.entries:
-            degrees.add(p + q)
-    entries, diffs = {}, {}
-    blocks_at = {}
-    for n in sorted(degrees):
-        blocks, total = _tensor_blocks(F, G, n)
-        blocks_at[n] = blocks
-        if total:
-            entries[n] = free_module(ring, total)
-    for n in sorted(degrees):
-        if n not in entries or (n + 1) not in entries:
-            continue
-        src = blocks_at[n]
-        tgt = {(p, i, jj): off for p, i, jj, off in blocks_at[n + 1]}
-        rows = entries[n + 1].ambient_rank
-        cols = entries[n].ambient_rank
-        z = ring.zero()
-        mat = [[z] * cols for _ in range(rows)]
-        for p, i, jj, off in src:
-            q = n - p
-            dF = F.differential(p)
-            for i2 in range(F.entry(p + 1).ambient_rank):
-                key = (p + 1, i2, jj)
-                if key in tgt:
-                    e = dF.matrix[i2][i]
-                    if not e.is_zero():
-                        mat[tgt[key]][off] = mat[tgt[key]][off] + e
-            dG = G.differential(q)
-            sign = -ring.one() if p % 2 else ring.one()
-            for j2 in range(G.entry(q + 1).ambient_rank):
-                key = (p, i, j2)
-                if key in tgt:
-                    e = dG.matrix[j2][jj]
-                    if not e.is_zero():
-                        mat[tgt[key]][off] = mat[tgt[key]][off] + sign * e
-        diffs[n] = ModuleHom(entries[n], entries[n + 1], mat, check=False)
-    return BoundedComplex(ring, entries, diffs, check=False)
-
-
 # ---------------------------------------------------------------------------
-# quasi-isomorphism
+# maps on cohomology
 
 
 def induced_cohomology_map(phi: ComplexMap, j: int) -> ModuleHom:
@@ -476,21 +301,3 @@ def induced_cohomology_map(phi: ComplexMap, j: int) -> ModuleHom:
     mat = [[cols[t][r] for t in range(len(HC.gens))]
            for r in range(len(HD.gens))]
     return ModuleHom(HC.module, HD.module, mat, check=False)
-
-
-def is_quasi_iso(phi: ComplexMap) -> Verdict:
-    """Holds iff the induced map on every cohomology is an isomorphism."""
-    degrees = sorted(set(phi.source.window()) | set(phi.target.window()))
-    for j in degrees:
-        ind = induced_cohomology_map(phi, j)
-        ker, _ = kernel_hom(ind)
-        if ker.ambient_rank:
-            return verdicts.fails({
-                "kind": "quasi_iso_obstruction", "degree": j,
-                "side": "kernel", "rank": ker.ambient_rank})
-        if not hom_is_surjective(ind):
-            return verdicts.fails({
-                "kind": "quasi_iso_obstruction", "degree": j,
-                "side": "cokernel", "rank": ind.target.ambient_rank})
-    return verdicts.holds({"kind": "isomorphism_on_cohomology",
-                           "degrees": degrees})

@@ -291,11 +291,6 @@ def zero_module(ring: RingSpec) -> FPModule:
     return FPModule(ring, 0)
 
 
-def cyclic_module(ring: RingSpec, *annihilators) -> FPModule:
-    """ring / (annihilators) as a rank-one presentation."""
-    return FPModule(ring, 1, [(a,) for a in annihilators])
-
-
 def quotient_module(M: FPModule, extra_relations) -> FPModule:
     return FPModule(M.ring, M.ambient_rank,
                     list(M.relations) + [tuple(r) for r in extra_relations],
@@ -320,15 +315,6 @@ def direct_sum_module(mods) -> FPModule:
             rels.append(tuple(row))
         offset += m.ambient_rank
     return FPModule(ring, total, rels)
-
-
-def modules_equal(M: FPModule, N: FPModule) -> bool:
-    """Equality as submodule spans: mutual containment of relation spans."""
-    if M.ring != N.ring or M.ambient_rank != N.ambient_rank:
-        return False
-    mb, nb = M.relations_basis(), N.relations_basis()
-    return (all(nb.contains(r) for r in M.relations)
-            and all(mb.contains(r) for r in N.relations))
 
 
 class ModuleHom:

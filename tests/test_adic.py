@@ -7,12 +7,12 @@ from adiclab.adic import (Budgets, DecayModule, chain_profile,
                           lim_tower, memo_scope, multiplication_tower,
                           nilpotent_on_module)
 from adiclab.errors import BudgetExceeded
-from adiclab.modules import (FPModule, ModuleHom, compose, cyclic_module,
-                             free_module, modules_equal,
+from adiclab.modules import (FPModule, ModuleHom, compose, free_module,
                              modules_isomorphic, quotient_module, std_basis)
 from adiclab.rings import (parse_element, ring_integers, ring_polynomial,
                            ring_power_series, ring_prime_field,
                            ring_rationals)
+from tests_util_algebra import cyclic_module, modules_equal
 
 ZZ = ring_integers()
 QQ = ring_rationals()

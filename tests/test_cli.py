@@ -118,6 +118,16 @@ def test_bad_budget_or_jobs_flag_is_usage_error(tmp_path, capsys, flag,
     assert f"argument {flag}:" in captured.err
 
 
+def test_negative_count_is_usage_error(capsys):
+    code = main(["generate", "--seed", "1", "--count", "-3",
+                 "--profile", "pid"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert ("argument --count: expected an integer >= 0, got -3"
+            in captured.err)
+
+
 def test_zero_precision_is_a_budget(tmp_path, capsys):
     f = tmp_path / "z12.json"
     f.write_text(json.dumps(z12_instance()), encoding="utf-8")
@@ -505,7 +515,8 @@ def test_failed_pool_reruns_serially_and_says_so(tmp_path, capsys,
 class _InlinePool:
     """A process pool that runs each submission at once, in this process."""
 
-    def __init__(self):
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
         self.submitted = 0
 
     def __enter__(self):
@@ -534,7 +545,7 @@ def inline_pool(monkeypatch):
     pools = []
 
     def pool(max_workers):
-        pools.append(_InlinePool())
+        pools.append(_InlinePool(max_workers))
         return pools[-1]
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", pool)
@@ -568,6 +579,15 @@ def test_identical_files_run_once_and_report_under_each_name(
     assert calls == [a, b]
     assert len(inline_pool) == pools
     assert all(pool.submitted == 2 for pool in inline_pool)
+
+
+def test_pool_starts_no_more_workers_than_files(tmp_path, capsys,
+                                                inline_pool):
+    files = [_z12_file(tmp_path / f"z12_{i}.json", i) for i in range(2)]
+    assert main(["run", *files, "--jobs", "64"]) == EXIT_OK
+    capsys.readouterr()
+    (pool,) = inline_pool
+    assert pool.max_workers == 2
 
 
 def test_one_content_starts_no_pool(tmp_path, capsys, monkeypatch,

@@ -5,10 +5,11 @@ from adiclab.adic import Budgets, DecayModule, memo_scope
 from adiclab.complexes import cohomology, hom_complex, shift_complex
 from adiclab.derived import (ext_localization, is_cohomologically_complete,
                              koszul_route_cc, telescope_stage)
-from adiclab.modules import (FPModule, cyclic_module, free_module,
-                             modules_equal, modules_isomorphic, zero_module)
+from adiclab.modules import (FPModule, free_module, modules_isomorphic,
+                             zero_module)
 from adiclab.rings import (ring_integers, ring_polynomial, ring_power_series,
                            ring_rationals)
+from tests_util_algebra import cyclic_module
 from tests_util_telescope import single_telescope
 
 ZZ = ring_integers()

@@ -1,0 +1,39 @@
+"""Source-layout guards: what the library defines, the library uses."""
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "adiclab"
+
+# Reached only by tests, on purpose: each is the independent route that an
+# acceptance criterion compares the library against.
+TEST_ONLY = {
+    "koszul_route_cc",  # criterion 7: telescope route against Koszul route
+    "image_coker",      # criterion 6a: kernel/image/cokernel by enumeration
+}
+
+
+def _loads(node):
+    """Names that Name or Attribute loads inside `node` read.  Imports
+    bind names without loading them, so they add nothing."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def test_library_definitions_have_library_callers():
+    # one entry per top-level statement of the library
+    statements = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            statements.append((path.name, node, _loads(node)))
+    defs = [(fname, node) for fname, node, _ in statements
+            if fname != "__init__.py"
+            and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in TEST_ONLY]
+    uncalled = [f"{fname}:{node.name}" for fname, node in defs
+                if not any(node.name in loads
+                           for _, other, loads in statements
+                           if other is not node)]
+    assert not uncalled, "no caller in src/adiclab: " + ", ".join(uncalled)

@@ -6,10 +6,9 @@ import pytest
 from adiclab.adic import chain_profile
 from adiclab.errors import ParentMismatch
 from adiclab.modules import (FPModule, ModuleHom, compose, coordinates,
-                             cyclic_module, direct_sum_module, free_module, hom_is_iso,
+                             direct_sum_module, free_module, hom_is_iso,
                              ideal_power_gens, identity_hom, image_coker,
-                             kernel_hom,
-                             modules_equal, modules_isomorphic,
+                             kernel_hom, modules_isomorphic,
                              quotient_module, std_basis,
                              submodule_presentation,
                              syzygies_with_relations, unit_vector,
@@ -17,6 +16,7 @@ from adiclab.modules import (FPModule, ModuleHom, compose, coordinates,
 from adiclab.rings import (ring_integers, ring_polynomial, ring_power_series,
                            ring_prime_field, ring_rationals)
 from adiclab.smith import smith_normal_form
+from tests_util_algebra import cyclic_module, modules_equal
 
 ZZ = ring_integers()
 QQ = ring_rationals()

@@ -12,18 +12,17 @@ from adiclab.adic import (Budgets, ChainProfile, chain_profile,
                           is_complete, is_separated, lim_tower, memo_scope,
                           multiplication_tower, nilpotent_on_module)
 from adiclab.complexes import (BoundedComplex, ComplexMap, cohomology,
-                               complex_from_module, hom_complex,
-                               tensor_complex)
+                               complex_from_module, hom_complex)
 from adiclab import modules, verdicts
 from adiclab.derived import ext_localization, is_cohomologically_complete
 from adiclab.groebner import ModuleBasis
 from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec,
                              _engine_basis, _query_row, _vec_to_dict,
-                             coordinates, cyclic_module, euclidean_capable,
+                             coordinates, euclidean_capable,
                              free_module, hom_is_injective,
                              hom_is_surjective, ideal_power_gens,
                              image_coker, kernel_hom, lift_elem,
-                             modules_equal, modules_isomorphic,
+                             modules_isomorphic,
                              std_basis, unit_vector, vec_is_zero, work_rows,
                              zero_vector)
 from adiclab.rings import (IntegerScalars, PrimeFieldScalars, RationalScalars,
@@ -35,6 +34,8 @@ from adiclab.rings import (IntegerScalars, PrimeFieldScalars, RationalScalars,
 from adiclab.smith import smith_normal_form
 from adiclab.theorems import (build_example1, check_lemma1, check_theorem2,
                               check_theorem4)
+from tests_util_algebra import (_tensor_blocks, cyclic_module,
+                                modules_equal, tensor_complex)
 from tests_util_telescope import single_telescope
 
 ZZ = ring_integers()
@@ -84,8 +85,7 @@ def _adjunction_permutations(F, G, M):
 
     Both sides decompose into labelled coordinates (p, i, j, a); the sides
     merely flatten them in different orders."""
-    from adiclab.complexes import (_hom_blocks, _tensor_blocks,
-                                   complex_from_module)
+    from adiclab.complexes import _hom_blocks
     T = tensor_complex(F, G)
     Mc = complex_from_module(M)
     H = hom_complex(F, Mc)

@@ -3,8 +3,7 @@ import pytest
 from adiclab.adic import Budgets, DecayModule
 from adiclab.complexes import BoundedComplex, complex_from_module
 from adiclab.errors import BudgetExceeded, NonSurjectiveReduction
-from adiclab.modules import (FPModule, ModuleHom, cyclic_module, free_module,
-                             modules_isomorphic)
+from adiclab.modules import FPModule, ModuleHom, free_module, modules_isomorphic
 from adiclab.rings import (RingMap, ring_integers, ring_polynomial,
                            ring_power_series, ring_prime_field,
                            ring_rationals)
@@ -12,6 +11,7 @@ from adiclab.theorems import (CONSISTENT, INCONSISTENT, INDECISIVE,
                               build_example1, check_lemma1, check_lemma5,
                               check_theorem2, check_theorem3, check_theorem4,
                               default_kernel_gens, transport_module)
+from tests_util_algebra import cyclic_module
 
 ZZ = ring_integers()
 QQ = ring_rationals()
