@@ -104,28 +104,35 @@ class IntegerScalars:
 
 
 class RationalScalars:
+    """Exact rational coefficients.  Integral values are held as Python
+    ints and only the others as Fractions, so the common integral case
+    builds no Fraction and runs no gcd; Fraction(n) == n and both hash
+    and print alike, so terms, keys and reports do not see the difference."""
+
     name = "rationals"
     is_field = True
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, v):
         if isinstance(v, bool):
             raise InvalidRing("booleans are not ring scalars")
         if isinstance(v, Fraction):
-            return v
+            return v.numerator if v.denominator == 1 else v
         if isinstance(v, int):
-            return Fraction(v)
+            return v
         raise InvalidRing(f"not a rational scalar: {v!r}")
 
     def add(self, a, b):
-        return a + b
+        s = a + b
+        return s if type(s) is int or s.denominator != 1 else s.numerator
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        p = a * b
+        return p if type(p) is int or p.denominator != 1 else p.numerator
 
     def is_unit(self, a):
         return a != 0
@@ -133,15 +140,18 @@ class RationalScalars:
     def inv(self, a):
         if not a:
             raise DivisionByZero("inverse of zero")
+        if type(a) is int:
+            return a if a in (1, -1) else Fraction(1, a)
+        # a is non-integral, so its inverse is integral iff |numerator| = 1
+        if a.numerator in (1, -1):
+            return a.numerator * a.denominator
         return 1 / a
 
     def divstep(self, a, b):
-        if not b:
-            raise DivisionByZero("division by zero")
-        return a / b, self.zero
+        return self.mul(a, self.inv(b)), 0
 
     def normalizer(self, a):
-        return self.inv(a) if a != 0 else Fraction(1)
+        return self.inv(a)
 
 
 class PrimeFieldScalars:

@@ -24,15 +24,19 @@ def smith_normal_form(matrix, ring: RingSpec):
     Vinv = [[one if i == j else zero for j in range(cols)]
             for i in range(cols)]
 
+    # a zero source entry leaves its target as it is, so it is skipped
     def row_sub(i, j, q):  # row_i -= q * row_j
         for t in range(cols):
-            A[i][t] = A[i][t] - q * A[j][t]
+            if not A[j][t].is_zero():
+                A[i][t] = A[i][t] - q * A[j][t]
 
     def col_sub(j, i, q):  # col_j -= q * col_i
         for t in range(rows):
-            A[t][j] = A[t][j] - q * A[t][i]
+            if not A[t][i].is_zero():
+                A[t][j] = A[t][j] - q * A[t][i]
         for t in range(cols):
-            Vinv[i][t] = Vinv[i][t] + q * Vinv[j][t]
+            if not Vinv[j][t].is_zero():
+                Vinv[i][t] = Vinv[i][t] + q * Vinv[j][t]
 
     def col_add(j, i):  # col_j += col_i
         for t in range(rows):

@@ -758,3 +758,60 @@ def test_machine_report_of_every_command_is_pinned():
     assert rep["exit_status"] == EXIT_OK
     report = emit_report(rep, "machine")
     assert hashlib.sha256(report.encode()).hexdigest() == ALL_COMMANDS_SHA256
+
+
+def _rational_instances():
+    """A QQ[x] and a QQ[[t]]/t^4 instance whose inputs have non-integral
+    coefficients (1/2, -3/4, 2/3) and an integral one written as 4/2; their
+    reports print non-integral coefficients in witnesses and generators."""
+    cc = [{"command": "is_cohomologically_complete", "module": "M",
+           "ideal": "a", "route": route} for route in ("tower", "telescope")]
+    polynomial = {
+        "ring": {"kind": "polynomial", "base": {"kind": "rationals"},
+                 "vars": ["x"], "order": "grlex"},
+        "modules": {"M": {"ambient_rank": 2,
+                          "relations": [["1/2*x^2 - 3/4*x", "4/2*x"],
+                                        ["0", "-3/4*x^3"]]}},
+        "ideals": {"a": ["2/3*x"]},
+        "tasks": [
+            {"command": "check_theorem4", "module": "M", "ideal": "a"},
+            {"command": "check_lemma1", "module": "M", "element": "-3/4*x"},
+            {"command": "completion_tower", "module": "M", "ideal": "a",
+             "depth": 3},
+            {"command": "ext_localization", "index": 1, "module": "M",
+             "element": "1/2*x", "route": "both"},
+            *cc,
+        ],
+    }
+    series = {
+        "ring": {"kind": "truncated_power_series",
+                 "base": {"kind": "rationals"}, "var": "t", "precision": 4},
+        "modules": {"M": {"ambient_rank": 2,
+                          "relations": [["1/2*t - 3/4*t^2", "4/2*t^2"],
+                                        ["-3/4*t^3", "0"]]}},
+        "ideals": {"a": ["1/2*t"]},
+        "tasks": [
+            {"command": "check_theorem4", "module": "M", "ideal": "a"},
+            {"command": "completion_tower", "module": "M", "ideal": "a",
+             "depth": 3},
+            {"command": "lim_tower", "module": "M", "kind": "multiplication",
+             "element": "-3/4*t"},
+            *cc,
+        ],
+    }
+    return polynomial, series
+
+
+# The machine reports of `_rational_instances`, hashed: the pinned corpus
+# and the all-commands instance above have only integral input coefficients.
+RATIONAL_SHA256 = \
+    "00bdae1a6248f1ee19814658558de32769e6a80ba4c555f8610c52df613ec10c"
+
+
+def test_machine_reports_with_rational_coefficients_are_pinned():
+    digest = hashlib.sha256()
+    for data in _rational_instances():
+        rep = run_instance(data)
+        assert rep["exit_status"] == EXIT_OK
+        digest.update(emit_report(rep, "machine").encode())
+    assert digest.hexdigest() == RATIONAL_SHA256

@@ -1,6 +1,7 @@
 """Cross-module invariants: adjunction, reduction chains, verdict soundness."""
 import dataclasses
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -500,20 +501,30 @@ def test_tagging_only_gens_equals_tagging_every_row(case):
 
 @st.composite
 def _euclidean_matrix(draw):
-    """A 1-3 x 1-3 matrix over ZZ, QQ[x] or GF(5)[x], polynomial entries of
-    degree at most 2."""
-    ring = draw(st.sampled_from([ZZ, ring_polynomial(QQ, ("x",)),
+    """A sparse matrix of up to 5 x 6 over ZZ, QQ, QQ[x] or GF(5)[x]: most
+    entries are zero, so the Smith steps meet zero source entries, and the
+    QQ and QQ[x] coefficients are p/q (4/2 among them), so the pivots are
+    fractional.  Polynomial entries have degree at most 2."""
+    ring = draw(st.sampled_from([ZZ, QQ, ring_polynomial(QQ, ("x",)),
                                  ring_polynomial(ring_prime_field(5),
                                                  ("x",))]))
+    rational = isinstance(ring.domain, RationalScalars)
+
+    def scalar(bound):
+        num = draw(st.integers(-bound, bound))
+        if not rational:
+            return ring.from_int(num)
+        return ring.from_scalar(Fraction(num, draw(st.integers(1, 4))))
 
     def element():
+        if draw(st.integers(0, 3)):
+            return ring.zero()
         if not ring.nvars:
-            return ring.from_int(draw(st.integers(-9, 9)))
+            return scalar(9)
         x = ring.variable("x")
-        return sum((ring.from_int(draw(st.integers(-3, 3))) * x ** d
-                    for d in range(3)), ring.zero())
+        return sum((scalar(3) * x ** d for d in range(3)), ring.zero())
 
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     return ring, [[element() for _ in range(cols)] for _ in range(rows)]
 
 

@@ -1,12 +1,13 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adiclab.errors import (DivisionByZero, InvalidRing, ParentMismatch,
                             UnsupportedRing)
-from adiclab.rings import (GRLEX, RingMap, apply_ring_map, elem_divstep,
-                           element_to_str, make_ring, parse_element,
+from adiclab.rings import (GRLEX, RationalScalars, RingMap, apply_ring_map,
+                           elem_divstep, element_to_str, make_ring,
+                           parse_element,
                            ring_integers, ring_polynomial, ring_power_series,
                            ring_prime_field, ring_quotient, ring_rationals)
 
@@ -160,6 +161,86 @@ def test_ring_axioms(a, b, c):
     assert a + QXY.zero() == a
     assert a * QXY.one() == a
     assert a - a == QXY.zero()
+
+
+# QQ scalars: ints and p/q with small q, integral ones like 4/2 included
+rationals = st.one_of(st.integers(-8, 8),
+                      st.builds(Fraction, st.integers(-8, 8),
+                                st.integers(1, 4)))
+
+
+def _held_canonically(c):
+    """RationalScalars holds an integral value as an int, never as a
+    Fraction with denominator 1."""
+    return not (isinstance(c, Fraction) and c.denominator == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals, rationals)
+@example(Fraction(4, 2), Fraction(-1, 3))
+@example(-3, Fraction(3, 4))
+def test_rational_scalars_equal_fraction_arithmetic(a, b):
+    dom = RationalScalars()
+    fa, fb = Fraction(a), Fraction(b)
+    ca, cb = dom.coerce(a), dom.coerce(b)
+    results = [(ca, fa), (cb, fb), (dom.add(ca, cb), fa + fb),
+               (dom.mul(ca, cb), fa * fb), (dom.neg(ca), -fa)]
+    if fb:
+        q, r = dom.divstep(ca, cb)
+        results += [(dom.inv(cb), 1 / fb), (q, fa / fb), (r, 0),
+                    (dom.normalizer(cb), 1 / fb)]
+    else:
+        with pytest.raises(DivisionByZero):
+            dom.inv(cb)
+    for got, want in results:
+        assert got == want
+        assert _held_canonically(got)
+
+
+def _reference_terms(op, a, b, precision):
+    """a op b on term dicts in plain Fraction arithmetic, power-series
+    tails at or past `precision` dropped."""
+    if op == "*":
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+    else:
+        out = {e: Fraction(c) for e, c in a.items()}
+        sign = 1 if op == "+" else -1
+        for e, c in b.items():
+            out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items()
+            if c and (precision is None or e[0] < precision)}
+
+
+@st.composite
+def rational_text_pair(draw):
+    ring = draw(st.sampled_from([QQ, QX, ring_power_series(QQ, "t", 4)]))
+
+    def text():
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            c = f"{draw(st.integers(-12, 12))}/{draw(st.integers(1, 6))}"
+            if ring.vars:
+                c += f"*{ring.vars[0]}^{draw(st.integers(0, 5))}"
+            terms.append(c)
+        return " + ".join(terms)
+
+    return ring, text(), text()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_text_pair())
+def test_rational_terms_are_held_canonically(case):
+    ring, s, t = case
+    a, b = parse_element(ring, s), parse_element(ring, t)
+    for op, c in (("+", a + b), ("-", a - b), ("*", a * b)):
+        assert c.terms == _reference_terms(op, a.terms, b.terms,
+                                           ring.precision)
+        for e in (a, b, c):
+            assert all(_held_canonically(v) for v in e.terms.values())
 
 
 @settings(max_examples=40, deadline=None)
