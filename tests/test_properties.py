@@ -501,17 +501,20 @@ def test_tagging_only_gens_equals_tagging_every_row(case):
 
 @st.composite
 def _euclidean_matrix(draw):
-    """A sparse matrix of up to 5 x 6 over ZZ, QQ, QQ[x] or GF(5)[x]: most
-    entries are zero, so the Smith steps meet zero source entries, and the
-    QQ and QQ[x] coefficients are p/q (4/2 among them), so the pivots are
-    fractional.  Entries have degree at most 2 over GF(5) and at most 1 over
-    QQ: at degree 2 about one 5 x 6 QQ[x] draw in 200 swells the Smith
-    transform's coefficients to 10^5 bits, and the form takes seconds to
-    minutes (an open ROADMAP item)."""
-    ring = draw(st.sampled_from([ZZ, QQ, ring_polynomial(QQ, ("x",)),
-                                 ring_polynomial(ring_prime_field(5),
-                                                 ("x",))]))
-    rational = isinstance(ring.domain, RationalScalars)
+    """One of two shapes, drawn evenly.  Dense: a 1-3 x 1-3 matrix over ZZ,
+    QQ[x] or GF(5)[x] with integer coefficients and polynomial entries of
+    degree at most 2.  Sparse: up to 5 x 6 over ZZ, QQ, QQ[x] or GF(5)[x],
+    most entries zero, so the Smith steps meet zero source entries, and the
+    QQ and QQ[x] coefficients p/q (4/2 among them), so the pivots are
+    fractional.  Sparse QQ[x] entries have degree at most 1: at degree 2
+    about one 5 x 6 QQ[x] draw in 200 swells the Smith transform's
+    coefficients to 10^5 bits, and the form takes seconds to minutes (an
+    open ROADMAP item)."""
+    sparse = draw(st.booleans())
+    rings = [ZZ, ring_polynomial(QQ, ("x",)),
+             ring_polynomial(ring_prime_field(5), ("x",))]
+    ring = draw(st.sampled_from(rings + [QQ] if sparse else rings))
+    rational = sparse and isinstance(ring.domain, RationalScalars)
 
     def scalar(bound):
         num = draw(st.integers(-bound, bound))
@@ -520,7 +523,7 @@ def _euclidean_matrix(draw):
         return ring.from_scalar(Fraction(num, draw(st.integers(1, 4))))
 
     def element():
-        if draw(st.integers(0, 3)):
+        if sparse and draw(st.integers(0, 3)):
             return ring.zero()
         if not ring.nvars:
             return scalar(9)
@@ -528,7 +531,10 @@ def _euclidean_matrix(draw):
         return sum((scalar(3) * x ** d for d in range(2 if rational else 3)),
                    ring.zero())
 
-    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    if sparse:
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    else:
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     return ring, [[element() for _ in range(cols)] for _ in range(rows)]
 
 
@@ -577,7 +583,7 @@ def _associates(a, b):
             and elem_divstep(b, a)[1].is_zero())
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=240, deadline=None)
 @given(_euclidean_matrix())
 def test_smith_form_spans_rows_through_inverse_column_transform(case):
     ring, A = case
