@@ -25,7 +25,7 @@ from .verdicts import Verdict
 from .adic import (Budgets, DecayModule, Tower, chain_profile,
                    completion_tower, is_complete, is_separated, lim_tower,
                    memo_scope, multiplication_tower)
-from .derived import (ExtApprox, TelescopeStage, ext_localization,
+from .derived import (ExtApprox, ext_localization,
                       is_cohomologically_complete, telescope_stage)
 from .theorems import (EquivalenceReport, build_example1, check_lemma1,
                        check_lemma5, check_theorem2, check_theorem3,

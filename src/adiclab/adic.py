@@ -41,8 +41,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ParentMismatch
-from .modules import (FPModule, ModuleHom, euclidean_capable, free_module,
-                      hom_is_iso, ideal_power_gens, kernel_hom, lift_elem,
+from .modules import (FPModule, ModuleHom, _kernel_gens, euclidean_capable,
+                      free_module, hom_is_iso, ideal_power_gens, lift_elem,
                       lower_elem, quotient_module, std_basis,
                       submodule_presentation, unit_vector, vec_is_zero,
                       work_rows, zero_module)
@@ -192,13 +192,12 @@ def _graded_positive(M: FPModule, gens) -> bool:
     return True
 
 
-def nilpotent_on_module(a: RingElem, M: FPModule) -> bool | None:
-    """Does a act nilpotently on M?  Decided by collapsing M[1/a] over a
-    polynomial work ring; None over any other ring."""
+def nilpotent_on_module(a: RingElem, M: FPModule) -> bool:
+    """Does a act nilpotently on M?  Decided by collapsing M[1/a] over the
+    work ring, which is polynomial for every ring that is not
+    Euclidean-capable, the only rings this is asked about."""
     ring = M.ring
     w = ring.work
-    if w.kind != POLYNOMIAL:
-        return None
     name = "zloc"
     while name in w.vars:
         name += "_"
@@ -278,18 +277,15 @@ def _chain_profile(M: FPModule, gens, budgets: Budgets) -> ChainProfile:
     euclid = euclidean_capable(M.ring)
     if euclid and gens and _free_rank(M):
         return _euclid_chain(M, gens)
-    nilpotent = False
-    if not euclid and _graded_positive(M, gens):
-        nilpotent = True
+    nilpotent = not euclid and _graded_positive(M, gens)
+    if nilpotent:
         for a in gens:
-            nil = nilpotent_on_module(a, M)
-            if nil is False:
+            if not nilpotent_on_module(a, M):
                 return ChainProfile(
                     "strict_forever", None, (),
                     {"kind": "graded_nakayama",
                      "non_nilpotent_generator": element_to_str(a),
                      "note": "graded chain stabilizes only at zero"})
-            nilpotent = nilpotent and nil is True
     # S_k = S_(k+1) exactly when S_k is the limit of the chain; `limit` is
     # its canonical basis once known, so the walk needs no step past it
     limit = None
@@ -460,11 +456,10 @@ def _limit(T: Tower, prof: ChainProfile, budgets: Budgets) -> LimReport:
     return LimReport(False, None, None, "undecided within budget")
 
 
-def _lim1(T: Tower, prof: ChainProfile, window: int,
-          budgets: Budgets) -> Verdict:
+def _lim1(T: Tower, prof: ChainProfile, budgets: Budgets) -> Verdict:
     """Vanishing of lim^1 of T read from the chain profile of its ideal:
     Mittag-Leffler, or its failure by Gray's dichotomy."""
-    budget = {**budgets.as_dict(), "window": min(window, T.depth)}
+    budget = {**budgets.as_dict(), "window": min(budgets.window, T.depth)}
     if T.kind == "quotient":
         return verdicts.holds({"kind": "mittag_leffler",
                                "note": "surjective transitions"}, budget)
@@ -481,12 +476,10 @@ def _lim1(T: Tower, prof: ChainProfile, window: int,
     return verdicts.unknown(budget)
 
 
-def lim_tower(T: Tower, window: int | None = None,
-              budgets: Budgets = DEFAULT_BUDGETS):
+def lim_tower(T: Tower, budgets: Budgets = DEFAULT_BUDGETS):
     """(lim report, lim^1 vanishing verdict) for the materialized window."""
-    window = window if window is not None else budgets.window
     prof = chain_profile(T.module, T.gens, budgets)
-    return _limit(T, prof, budgets), _lim1(T, prof, window, budgets)
+    return _limit(T, prof, budgets), _lim1(T, prof, budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +526,7 @@ def ext1_vanishing_tower(M: FPModule, a: RingElem,
                          budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
     """lim^1 vanishing of the multiplication tower (M, *a)."""
     T = multiplication_tower(M, a, budgets.depth)
-    return _lim1(T, chain_profile(M, T.gens, budgets), budgets.window,
-                 budgets)
+    return _lim1(T, chain_profile(M, T.gens, budgets), budgets)
 
 
 def ext0_vanishing_tower(M: FPModule, a: RingElem,
@@ -662,6 +654,27 @@ class DecayModule:
         return tuple(t ** c for c in self.exponents)
 
 
+def decay_kernel(D: DecayModule):
+    """(generators of the kernel of the diagonal map, the first of them
+    that is not a truncation ghost, or None), computed once per
+    `memo_scope`.
+
+    A generator is a ghost when each entry at index i vanishes to order at
+    least precision - c_i: the truncation forgets it, and it stands for no
+    kernel element of the decaying-function module."""
+    return memoised(("decay_kernel", D), _decay_kernel, D)
+
+
+def _decay_kernel(D: DecayModule):
+    gens = tuple(_kernel_gens(D.diagonal_hom()))
+    N = D.precision
+    for g in gens:
+        for e, c in zip(g, D.exponents):
+            if not e.is_zero() and e.valuation() < N - c:
+                return gens, g
+    return gens, None
+
+
 def _decay_separated(M: DecayModule, gens, budgets: Budgets) -> Verdict:
     budget = {**budgets.as_dict(), "support": M.support,
               "precision": M.precision}
@@ -672,20 +685,12 @@ def _decay_separated(M: DecayModule, gens, budgets: Budgets) -> Verdict:
     v = min(vals)
     N, I = M.precision, M.support
     m = M.element_m()
-    # forced-preimage certificate: every preimage of m under the diagonal
-    # map is congruent to the all-ones vector at each index, so no preimage
-    # decays; at this window that certifies m != 0 in the completed module.
-    delta = M.diagonal_hom()
-    ker, incl = kernel_hom(delta)
-    for j in range(ker.ambient_rank):
-        col = incl.column(j)
-        for i in range(I):
-            needed = max(N - M.exponents[i], 0)
-            e = col[i]
-            if not e.is_zero() and (e.valuation() or 0) < needed:
-                return verdicts.unknown(budget)
-    ones = tuple(M.ring.one() for _ in range(I))
-    if delta.apply(ones) != m:
+    # forced-preimage certificate: the all-ones vector maps to m under the
+    # diagonal map (m is built as its image), and when every kernel
+    # generator is a truncation ghost every preimage of m is congruent to
+    # it at each index, so no preimage decays; at this window that
+    # certifies m != 0 in the completed module.
+    if decay_kernel(M)[1] is not None:
         return verdicts.unknown(budget)
     # membership witnesses: m in a^j M for every j with v*j < min(I, N)
     avatar = M.avatar()

@@ -417,7 +417,7 @@ def run_task(inst: Instance, task: dict, budgets: Budgets) -> dict:
             T = multiplication_tower(M, elem, b.depth)
         else:
             T = completion_tower(M, inst.ideals[task["ideal"]], b.depth, b)
-        rep, lim1 = lim_tower(T, b.window, b)
+        rep, lim1 = lim_tower(T, b)
         return {"command": cmd,
                 "status": "decisive" if rep.decisive and lim1.decisive
                 else "unknown",

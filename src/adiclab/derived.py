@@ -39,14 +39,11 @@ from .verdicts import Verdict
 # telescope stages
 
 
-@dataclass(frozen=True)
-class TelescopeStage:
-    element: RingElem
-    stage: int
-    plus_part: BoundedComplex
-
-
-def _single_plus(a: RingElem, N: int) -> BoundedComplex:
+def telescope_stage(a: RingElem, N: int) -> BoundedComplex:
+    """The plus part of the finite telescope stage N for one element: the
+    Ext analysis reads nothing else."""
+    if N < 1:
+        raise BudgetExceeded("telescope stage must be >= 1")
     ring = a.ring
     P0 = free_module(ring, N)       # delta_1..delta_N
     P1 = free_module(ring, N + 1)   # delta_0..delta_N
@@ -60,18 +57,9 @@ def _single_plus(a: RingElem, N: int) -> BoundedComplex:
     return BoundedComplex(ring, {0: P0, 1: P1}, {0: d}, check=False)
 
 
-def telescope_stage(a: RingElem, N: int) -> TelescopeStage:
-    """Finite telescope stage N for one element, as its plus part: the Ext
-    analysis reads nothing else."""
-    if N < 1:
-        raise BudgetExceeded("telescope stage must be >= 1")
-    return TelescopeStage(a, N, _single_plus(a, N))
-
-
 def shift_complex_map(phi: ComplexMap, k: int) -> ComplexMap:
     return ComplexMap(shift_complex(phi.source, k), shift_complex(phi.target, k),
-                      {j - k: f for j, f in phi.components.items()},
-                      check=False)
+                      {j - k: f for j, f in phi.components.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +70,8 @@ def shift_complex_map(phi: ComplexMap, k: int) -> ComplexMap:
 class ExtApprox:
     """Stagewise approximation of a localization Ext group plus the
     vanishing verdict and route cross-checks."""
-    index: int
-    generator: str
     stages: dict
     vanishing: Verdict
-    route: str
     agreement: bool | None = None
     details: dict = field(default_factory=dict)
 
@@ -103,8 +88,8 @@ def _telescope_ext(a: RingElem, M: FPModule, budgets: Budgets):
     N = max(2, min(budgets.stages, 24 // max(1, M.ambient_rank)))
     ring = M.ring
     # stage inclusion of plus parts: delta_i -> delta_i in both degrees
-    Ps = telescope_stage(a, N).plus_part
-    Pt = telescope_stage(a, N + 1).plus_part
+    Ps = telescope_stage(a, N)
+    Pt = telescope_stage(a, N + 1)
     z = ring.zero()
     e0 = [[ring.one() if i == c else z for c in range(N)]
           for i in range(N + 1)]
@@ -112,7 +97,7 @@ def _telescope_ext(a: RingElem, M: FPModule, budgets: Budgets):
           for i in range(N + 2)]
     incl = ComplexMap(Ps, Pt, {
         0: ModuleHom(Ps.entry(0), Pt.entry(0), e0, check=False),
-        1: ModuleHom(Ps.entry(1), Pt.entry(1), e1, check=False)}, check=False)
+        1: ModuleHom(Ps.entry(1), Pt.entry(1), e1, check=False)})
     # restriction Hom(plus(N+1)[1], M) -> Hom(plus(N)[1], M); its source
     # and target are the two stage Hom complexes
     restr = hom_complex_map(shift_complex_map(incl, 1), M)
@@ -169,7 +154,7 @@ def ext_localization(index: int, a: RingElem, M,
     if route == "tower":
         v = tower_verdict()
         stages = {k: M for k in range(budgets.stab_window)}
-        return ExtApprox(index, element_to_str(a), stages, v, route)
+        return ExtApprox(stages, v)
 
     key = (a, M, M.grading, budgets)
     stage_vals, P, details = memoised(("telescope_ext", *key),
@@ -183,8 +168,7 @@ def ext_localization(index: int, a: RingElem, M,
         else:
             tele = ext1_vanishing_tower(P, a, budgets)
     if route == "telescope":
-        return ExtApprox(index, element_to_str(a), stage_vals, tele,
-                         route, details=details)
+        return ExtApprox(stage_vals, tele, details=details)
     tow = tower_verdict()
     agreement = None
     if tele.decisive and tow.decisive:
@@ -194,8 +178,7 @@ def ext_localization(index: int, a: RingElem, M,
         ("stage_value_matches_module", *key), modules_isomorphic,
         stage_vals[max(stage_vals)], M)
     primary = tow if tow.decisive or not tele.decisive else tele
-    return ExtApprox(index, element_to_str(a), stage_vals, primary, "both",
-                     agreement, details)
+    return ExtApprox(stage_vals, primary, agreement, details)
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,8 @@ class ModuleBasis:
         descending order."""
         dom = self.domain
         # minimalize: drop rows whose leading term is strongly divisible by
-        # another row's leading term
+        # another row's leading term.  No two leads divide each other, since
+        # `_saturate` reduces each row it appends by the rows before it
         order = sorted(range(len(rows)),
                        key=lambda i: self._term_key(leads[i][0]))
         rows = [rows[i] for i in order]
@@ -253,9 +254,6 @@ class ModuleBasis:
                 q, rem = dom.divstep(c, c2)
                 if rem:
                     continue
-                if (e2, self.domain.size(c2) if not dom.is_field else 0) == \
-                   (e, self.domain.size(c) if not dom.is_field else 0) and jdx > idx:
-                    continue  # identical strength: keep the earlier row
                 redundant = True
                 break
             if not redundant:

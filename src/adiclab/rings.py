@@ -17,7 +17,7 @@ from .groebner import ModuleBasis
 LEX = "lex"
 GRLEX = "grlex"
 
-DEFAULT_MAX_VARS = 4
+MAX_VARS = 4  # cap on the variables of a polynomial ring
 
 
 def _is_prime(n: int) -> bool:
@@ -98,9 +98,6 @@ class IntegerScalars:
     def normalizer(self, a):
         # unit u with u*a canonical (nonnegative)
         return -1 if a < 0 else 1
-
-    def size(self, a):
-        return abs(a)
 
 
 class RationalScalars:
@@ -376,8 +373,7 @@ def ring_prime_field(p: int) -> RingSpec:
     return RingSpec(PRIME_FIELD, p=p)
 
 
-def ring_polynomial(base: RingSpec, names, order: str = GRLEX,
-                    max_vars: int = DEFAULT_MAX_VARS) -> RingSpec:
+def ring_polynomial(base: RingSpec, names, order: str = GRLEX) -> RingSpec:
     names = tuple(names)
     if base.kind not in _SCALAR_KINDS:
         raise InvalidRing("polynomial base ring must carry no variables")
@@ -385,8 +381,8 @@ def ring_polynomial(base: RingSpec, names, order: str = GRLEX,
         raise InvalidRing("polynomial ring needs at least one variable")
     if len(set(names)) != len(names):
         raise InvalidRing(f"duplicate variable names in {names}")
-    if len(names) > max_vars:
-        raise InvalidRing(f"{len(names)} variables exceeds the cap of {max_vars}")
+    if len(names) > MAX_VARS:
+        raise InvalidRing(f"{len(names)} variables exceeds the cap of {MAX_VARS}")
     if order not in (LEX, GRLEX):
         raise InvalidRing(f"unsupported monomial order {order!r}")
     if any(not n or not n[0].isalpha() for n in names):

@@ -85,13 +85,9 @@ def smith_normal_form(matrix, ring: RingSpec):
                 if not r.is_zero():
                     col_swap(t, j)
                     dirty = True
-            if dirty:
-                continue
-            if any(not A[t][j].is_zero() for j in range(t + 1, cols)):
-                continue
-            if any(not A[i][t].is_zero() for i in range(t + 1, rows)):
-                continue
-            break
+            # a pass without a swap leaves the pivot's row and column clear
+            if not dirty:
+                break
         t += 1
     rank = t
 
@@ -100,10 +96,9 @@ def smith_normal_form(matrix, ring: RingSpec):
     while changed:
         changed = False
         for i in range(rank - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if a.is_zero() or b.is_zero():
-                continue
-            _, r = elem_divstep(b, a)
+            # no diagonal entry below the rank is zero: the pivots are
+            # nonzero, and a repair keeps the determinant of its 2x2 block
+            _, r = elem_divstep(A[i + 1][i + 1], A[i][i])
             if r.is_zero():
                 continue
             changed = True
@@ -131,19 +126,17 @@ def smith_normal_form(matrix, ring: RingSpec):
     return Vinv, A, rank
 
 
-def invariant_factors(matrix, ring: RingSpec, ambient_rank: int | None = None):
+def invariant_factors(matrix, ring: RingSpec, ambient_rank: int):
     """Invariant factors of the cokernel of the row span.
 
     Returns (factors, free_rank): the nonunit diagonal entries, normalized,
     and the rank of the free part of ambient/rowspan."""
-    cols = ambient_rank if ambient_rank is not None else (
-        len(matrix[0]) if matrix else 0)
     if not matrix:
-        return [], cols
+        return [], ambient_rank
     _, D, rank = smith_normal_form(matrix, ring)
     factors = []
     for i in range(rank):
         d = D[i][i]
         if not d.is_unit():
             factors.append(d)
-    return factors, cols - rank
+    return factors, ambient_rank - rank

@@ -358,7 +358,7 @@ def test_criterion_7_route_agreement():
                 agreements += 1
             # plus-part cohomology is confined to degrees 0 and 1
             N = 3
-            plus = telescope_stage(a, N).plus_part
+            plus = telescope_stage(a, N)
             H = hom_complex(shift_complex(plus, 1), M)
             for j in range(-2, 4):
                 if j not in (0, 1):

@@ -61,7 +61,7 @@ def test_completion_tower_nilpotent():
 def test_lim_stabilized_constant_tower():
     M = cyclic_module(ZZ, ZZ.from_int(4))
     T = completion_tower(M, [ZZ.from_int(2)], depth=8)
-    rep, lim1 = lim_tower(T, 6, B)
+    rep, lim1 = lim_tower(T, B)
     assert rep.decisive
     assert modules_isomorphic(rep.value, M)
     assert lim1.holds()
@@ -70,7 +70,7 @@ def test_lim_stabilized_constant_tower():
 def test_lim_mult_invertible():
     M = cyclic_module(ZZ, ZZ.from_int(3))
     T = multiplication_tower(M, ZZ.from_int(2), depth=8)
-    rep, lim1 = lim_tower(T, 6, B)
+    rep, lim1 = lim_tower(T, B)
     assert rep.decisive and modules_isomorphic(rep.value, M)
     assert lim1.holds()
 
@@ -78,9 +78,34 @@ def test_lim_mult_invertible():
 def test_lim_mult_zz_fails_ml():
     Z = free_module(ZZ, 1)
     T = multiplication_tower(Z, ZZ.from_int(2), depth=8)
-    rep, lim1 = lim_tower(T, 6, B)
+    rep, lim1 = lim_tower(T, B)
     assert lim1.fails()
     assert rep.decisive and rep.value.is_zero()  # separated: lim = 0
+
+
+def test_lim_quotient_tower_descending_forever():
+    # 2^k ZZ descends forever: no stage is the limit, and the surjective
+    # transitions keep lim^1 zero
+    T = completion_tower(free_module(ZZ, 1), [ZZ.from_int(2)], depth=8)
+    rep, lim1 = lim_tower(T, B)
+    assert rep == adic.LimReport(False, None, None,
+                                 "strictly descending forever")
+    assert lim1.holds() and lim1.certificate["kind"] == "mittag_leffler"
+
+
+def test_lim_mult_tower_tail_not_invertible(monkeypatch):
+    # on ZZ/3 the chain 2^k M stabilizes at once with tail M.  The library
+    # never meets a tail it cannot invert (a surjective endomorphism of a
+    # finitely generated module is injective), so the isomorphism test is
+    # substituted to reach the reader of a failed one
+    M = cyclic_module(ZZ, ZZ.from_int(3))
+    T = multiplication_tower(M, ZZ.from_int(2), depth=8)
+    monkeypatch.setattr(adic, "hom_is_iso", lambda f: False)
+    rep, lim1 = lim_tower(T, B)
+    assert rep == adic.LimReport(False, None, 0,
+                                 "stabilized image, undecided lift")
+    assert lim1.holds()
+    assert ext0_vanishing_tower(M, ZZ.from_int(2), B).status == "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +296,20 @@ def test_decay_module_separated_fails():
     assert v.witness["memberships_verified"] == list(range(1, 8))
     vc = is_complete(M, [t], Budgets())
     assert vc.fails()
+
+
+def test_decay_module_with_a_genuine_kernel_element(monkeypatch):
+    # t^c x = 0 in QQ[[t]]/t^4 puts x in t^(4 - c), so every kernel
+    # generator of a diagonal map is a ghost; a substituted kernel with a
+    # genuine element must leave separatedness and completeness open
+    KT4 = ring_power_series(QQ, "t", 4)
+    D = DecayModule(KT4, 2, (0, 1))
+    t = KT4.variable("t")
+    genuine = (KT4.zero(), t)
+    monkeypatch.setattr(adic, "_kernel_gens", lambda f: [genuine])
+    assert adic.decay_kernel(D) == ((genuine,), genuine)
+    assert is_separated(D, [t], Budgets()).status == "unknown"
+    assert is_complete(D, [t], Budgets()).status == "unknown"
 
 
 def test_decay_module_minimal_instance():

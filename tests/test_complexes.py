@@ -10,7 +10,7 @@ from adiclab.errors import InvalidComplex, NotFree
 from adiclab.modules import (FPModule, ModuleHom, free_module, identity_hom,
                              modules_isomorphic, std_basis, zero_module)
 from adiclab.rings import ring_integers, ring_prime_field, ring_rationals
-from tests_util_algebra import (cyclic_module, modules_equal,
+from tests_util_algebra import (cyclic_module, is_chain_map, modules_equal,
                                 tensor_complex)
 from tests_util_enum import enumerate_elements
 
@@ -126,8 +126,7 @@ def _random_chain_maps(rng):
         mat = gf5([rand_row(), rand_row()])
         C = complex_from_module(free_module(GF5, 2))
         D = complex_from_module(FPModule(GF5, 2, gf5([rand_row()])))
-        yield ComplexMap(C, D, {0: ModuleHom(C.entry(0), D.entry(0), mat)},
-                         check=False)
+        yield ComplexMap(C, D, {0: ModuleHom(C.entry(0), D.entry(0), mat)})
     F = free_module(GF5, 2)
     for _ in range(8):
         u, v = rand_row(), rand_row()
@@ -152,6 +151,7 @@ def test_induced_cohomology_map_by_enumeration():
     # ind(v) and phi_j(v) name the same class of H^j(D) for every v in H^j(C)
     degree_one_seen = False
     for phi in _random_chain_maps(random.Random(2)):
+        assert is_chain_map(phi)
         for j in sorted(set(phi.source.window()) | set(phi.target.window())):
             ind = induced_cohomology_map(phi, j)
             HC = phi.source.cohomology_data(j)
@@ -177,7 +177,8 @@ def test_hom_functoriality_map():
     F = two_term(ZZ, 2)
     G = two_term(ZZ, 2)
     u = ComplexMap(F, G, {0: identity_hom(F.entry(0)),
-                          1: identity_hom(F.entry(1))}, check=True)
+                          1: identity_hom(F.entry(1))})
+    assert is_chain_map(u)
     M = cyclic_module(ZZ, ZZ.from_int(4))
     back = hom_complex_map(u, M)
     assert back.source.entry(0).ambient_rank == 1

@@ -1,7 +1,7 @@
 import pytest
 
 from adiclab import derived
-from adiclab.adic import Budgets, DecayModule, memo_scope
+from adiclab.adic import Budgets, DecayModule, is_separated, memo_scope
 from adiclab.complexes import cohomology, hom_complex, shift_complex
 from adiclab.derived import (ext_localization, is_cohomologically_complete,
                              koszul_route_cc, telescope_stage)
@@ -23,7 +23,7 @@ def test_telescope_single_ranks():
     tel = single_telescope(ZZ.from_int(2), 3)
     assert tel.entry(0).ambient_rank == 4
     assert tel.entry(1).ambient_rank == 4
-    plus = telescope_stage(ZZ.from_int(2), 3).plus_part
+    plus = telescope_stage(ZZ.from_int(2), 3)
     assert plus.entry(0).ambient_rank == 3
     assert plus.entry(1).ambient_rank == 4
 
@@ -32,7 +32,7 @@ def test_plus_part_hom_cohomology_window():
     # Hom(plus[1], M) must have cohomology only in degrees 0 and 1
     for a, M in [(ZZ.from_int(2), cyclic_module(ZZ, ZZ.from_int(3))),
                  (ZZ.from_int(2), free_module(ZZ, 1))]:
-        plus = telescope_stage(a, 3).plus_part
+        plus = telescope_stage(a, 3)
         H = hom_complex(shift_complex(plus, 1), M)
         for j in H.window():
             if j not in (0, 1):
@@ -139,6 +139,20 @@ def test_cc_joint_chain_route():
     # per-generator route agrees: the y-component fails
     v2 = is_cohomologically_complete(Mx, [x, y], B)
     assert v2.fails()
+
+
+def test_cc_joint_chain_not_separated_on_a_strict_chain():
+    # ZZ + ZZ/5 with a = 2: the free summand makes 2^k M descend forever,
+    # and the ZZ/5 summand lies in every 2^k M
+    M = FPModule(ZZ, 2, [(ZZ.zero(), ZZ.from_int(5))])
+    two = ZZ.from_int(2)
+    sep = is_separated(M, [two], B)
+    assert sep.fails()
+    v = is_cohomologically_complete(M, [two], B, route="joint_chain")
+    assert v.fails()
+    assert v.witness == {"kind": "stable_divisible_tail",
+                         "element": sep.witness["element"],
+                         "obstruction_degree": 0}
 
 
 def _counting(monkeypatch, name):

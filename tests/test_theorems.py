@@ -1,5 +1,6 @@
 import pytest
 
+from adiclab import adic, theorems
 from adiclab.adic import Budgets, DecayModule
 from adiclab.complexes import BoundedComplex, complex_from_module
 from adiclab.errors import BudgetExceeded, NonSurjectiveReduction
@@ -8,9 +9,10 @@ from adiclab.rings import (RingMap, ring_integers, ring_polynomial,
                            ring_power_series, ring_prime_field,
                            ring_rationals)
 from adiclab.theorems import (CONSISTENT, INCONSISTENT, INDECISIVE,
-                              build_example1, check_lemma1, check_lemma5,
-                              check_theorem2, check_theorem3, check_theorem4,
-                              default_kernel_gens, transport_module)
+                              build_example1, canonical_digest, check_lemma1,
+                              check_lemma5, check_theorem2, check_theorem3,
+                              check_theorem4, default_kernel_gens,
+                              transport_module)
 from tests_util_algebra import cyclic_module
 
 ZZ = ring_integers()
@@ -69,6 +71,25 @@ def test_theorem3_zero_module():
     rep = check_theorem3(zero_module(QXY), [[x], [y]], B)
     assert rep.left.holds() and rep.right.holds()
     assert rep.consistent == CONSISTENT
+
+
+def test_theorem3_on_a_complex_reads_its_cohomology():
+    # ZZ --2--> ZZ in degrees 0 and 1: the only cohomology is H^1 = ZZ/2
+    F = free_module(ZZ, 1)
+    C = BoundedComplex(ZZ, {0: F, 1: F},
+                       {0: ModuleHom(F, F, [[ZZ.from_int(2)]])})
+    ideals = [[ZZ.from_int(2)], [ZZ.from_int(3)]]
+    rep = check_theorem3(C, ideals, B)
+    h1 = check_theorem3(cyclic_module(ZZ, ZZ.from_int(2)), ideals, B)
+    assert rep.left.fails() and rep.right.fails()
+    assert (rep.left.status, rep.right.status, rep.consistent) == (
+        h1.left.status, h1.right.status, h1.consistent)
+    free = {"ambient_rank": 1, "relations": [], "ring": {"kind": "integers"}}
+    assert rep.instance_digest == canonical_digest({
+        "check": "theorem3",
+        "module": {"entries": {"0": free, "1": free},
+                   "differentials": {"0": [["2"]]}},
+        "ideals": [["2"], ["3"]]})
 
 
 def test_theorem4_z12():
@@ -199,6 +220,35 @@ def test_example1_standard():
     assert ex.report["power_memberships"].certificate["powers"] == list(range(8))
     assert ex.report["quasi_isomorphism"].holds()
     assert ex.report["cohomologically_complete"].holds()
+
+
+def test_example1_computes_the_diagonal_kernel_once(monkeypatch):
+    calls = []
+    compute = adic._decay_kernel
+    monkeypatch.setattr(adic, "_decay_kernel",
+                        lambda D: calls.append(D) or compute(D))
+    ex = build_example1(4, 4, budgets=B)
+    # separatedness and the quasi-isomorphism both read it
+    assert calls == [ex.module]
+    assert ex.report["separated"].fails()
+    ghosts = ex.report["quasi_isomorphism"].certificate[
+        "ghost_kernel_generators"]
+    assert ghosts == [adic.vec_strs(g) for g in compute(ex.module)[0]]
+
+
+def test_example1_genuine_kernel_element_refutes_quasi_iso(monkeypatch):
+    # a diagonal map's kernel holds only ghosts, so a genuine element comes
+    # from a substituted kernel
+    KT4 = ring_power_series(QQ, "t", 4)
+    D = DecayModule(KT4, 2, (0, 1))
+    genuine = (KT4.zero(), KT4.variable("t"))
+    monkeypatch.setattr(adic, "_kernel_gens", lambda f: [genuine])
+    F = free_module(KT4, 2)
+    P = BoundedComplex(KT4, {-1: F, 0: F}, {-1: D.diagonal_hom()})
+    v = theorems._example1_quasi_iso(D, P, D.avatar(), B)
+    assert v.fails()
+    assert v.witness == {"kind": "genuine_kernel_element",
+                         "element": ["0", "t"], "degree": -1}
 
 
 def test_example1_rejects_tiny():

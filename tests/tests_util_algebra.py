@@ -2,7 +2,7 @@
 library itself never computes."""
 from adiclab.complexes import BoundedComplex, _free_rank
 from adiclab.errors import ParentMismatch
-from adiclab.modules import FPModule, ModuleHom, free_module
+from adiclab.modules import FPModule, ModuleHom, compose, free_module
 
 
 def cyclic_module(ring, *annihilators):
@@ -17,6 +17,23 @@ def modules_equal(M, N):
     mb, nb = M.relations_basis(), N.relations_basis()
     return (all(nb.contains(r) for r in M.relations)
             and all(mb.contains(r) for r in N.relations))
+
+
+def is_chain_map(phi):
+    """Each component lines up with the entries, and each square commutes
+    modulo the target's relations."""
+    for j in sorted(set(phi.source.entries) | set(phi.target.entries)):
+        f = phi.component(j)
+        if (f.source, f.target) != (phi.source.entry(j), phi.target.entry(j)):
+            return False
+        lhs = compose(phi.target.differential(j), f)
+        rhs = compose(phi.component(j + 1), phi.source.differential(j))
+        diff = [[a - b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(lhs.matrix, rhs.matrix)]
+        if not ModuleHom(lhs.source, lhs.target, diff,
+                         check=False).is_zero_hom():
+            return False
+    return True
 
 
 def _tensor_blocks(F, G, n):
