@@ -22,11 +22,11 @@ from .modules import (FPModule, ModuleHom, StdBasis, free_module,
 from .complexes import (BoundedComplex, ComplexMap, cohomology,
                         complex_from_module, hom_complex, shift_complex)
 from .verdicts import Verdict
-from .adic import (Budgets, DecayModule, Tower, chain_profile,
-                   completion_tower, is_complete, is_separated, lim_tower,
-                   memo_scope, multiplication_tower)
+from .adic import (Budgets, Tower, chain_profile, completion_tower,
+                   is_complete, is_separated, lim_tower, memo_scope,
+                   multiplication_tower)
 from .derived import (ExtApprox, ext_localization,
                       is_cohomologically_complete, telescope_stage)
-from .theorems import (EquivalenceReport, build_example1, check_lemma1,
-                       check_lemma5, check_theorem2, check_theorem3,
-                       check_theorem4)
+from .theorems import (DecayModule, EquivalenceReport, build_example1,
+                       check_lemma1, check_lemma5, check_theorem2,
+                       check_theorem3, check_theorem4)

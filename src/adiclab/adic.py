@@ -41,13 +41,11 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ParentMismatch
-from .modules import (FPModule, ModuleHom, _kernel_gens, euclidean_capable,
-                      free_module, hom_is_iso, ideal_power_gens, lift_elem,
-                      lower_elem, quotient_module, std_basis,
-                      submodule_presentation, unit_vector, vec_is_zero,
-                      work_rows, zero_module)
-from .rings import (POLYNOMIAL, POWER_SERIES, RingElem, RingSpec,
-                    elem_divstep, element_to_str)
+from .modules import (FPModule, ModuleHom, euclidean_capable, hom_is_iso,
+                      ideal_power_gens, lift_elem, lower_elem,
+                      quotient_module, std_basis, submodule_presentation,
+                      unit_vector, vec_is_zero, work_rows, zero_module)
+from .rings import POLYNOMIAL, RingElem, RingSpec, elem_divstep, element_to_str
 from .smith import smith_normal_form
 from . import verdicts
 from .verdicts import Verdict
@@ -486,10 +484,9 @@ def lim_tower(T: Tower, budgets: Budgets = DEFAULT_BUDGETS):
 # separatedness and completeness
 
 
-def is_separated(M, gens, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
+def is_separated(M: FPModule, gens,
+                 budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
     """Decide that the intersection of the chain a^k M is zero."""
-    if isinstance(M, DecayModule):
-        return _decay_separated(M, gens, budgets)
     budget = budgets.as_dict()
     gens = _gens_valid(M, gens)
     if _graded_positive(M, gens):
@@ -548,15 +545,13 @@ def ext0_vanishing_tower(M: FPModule, a: RingElem,
     return verdicts.unknown(budget)
 
 
-def is_complete(M, gens, budgets: Budgets = DEFAULT_BUDGETS,
+def is_complete(M: FPModule, gens, budgets: Budgets = DEFAULT_BUDGETS,
                 refutations: str = "all") -> Verdict:
     """Decide bijectivity of the canonical map into the completion.
 
     refutations: "all" allows both the localization-Ext route and the
     non-stabilization route; "nonstab" restricts to stabilization-family
     certificates (used by checkers that must avoid circularity)."""
-    if isinstance(M, DecayModule):
-        return _decay_complete(M, gens, budgets)
     budget = budgets.as_dict()
     gens = _gens_valid(M, gens)
     prof = chain_profile(M, gens, budgets)
@@ -600,138 +595,4 @@ def is_complete(M, gens, budgets: Budgets = DEFAULT_BUDGETS,
                     "ring has an uncountable limit; the comparison map "
                     "from a finitely generated module cannot be onto"},
             budget)
-    return verdicts.unknown(budget)
-
-
-# ---------------------------------------------------------------------------
-# decaying-function modules (the anomalous family)
-
-
-@dataclass(frozen=True)
-class DecayModule:
-    """Finite-stage avatar of the quotient of a decaying-function module by
-    the diagonal map delta_i -> t^(c_i) delta_i.
-
-    The avatar is an honest finitely presented module over the truncated
-    ring; the decay bookkeeping is what lets the separatedness analysis see
-    the infinite-stage behaviour the truncation hides."""
-    ring: RingSpec
-    support: int
-    exponents: tuple
-
-    def __post_init__(self):
-        if self.ring.kind != POWER_SERIES:
-            raise ParentMismatch("decay modules live over truncated power series")
-        if len(self.exponents) != self.support:
-            raise ParentMismatch("one exponent per support index")
-
-    @property
-    def precision(self):
-        return self.ring.precision
-
-    def t(self) -> RingElem:
-        return self.ring.variable(self.ring.vars[0])
-
-    def avatar(self) -> FPModule:
-        t = self.t()
-        rels = []
-        for i, c in enumerate(self.exponents):
-            row = [self.ring.zero()] * self.support
-            row[i] = t ** c
-            rels.append(tuple(row))
-        return FPModule(self.ring, self.support, rels)
-
-    def diagonal_hom(self) -> ModuleHom:
-        F = free_module(self.ring, self.support)
-        t = self.t()
-        mat = [[t ** self.exponents[i] if i == j else self.ring.zero()
-                for j in range(self.support)] for i in range(self.support)]
-        return ModuleHom(F, F, mat, check=False)
-
-    def element_m(self):
-        """Image of the completed sum of t^(c_i) delta_i."""
-        t = self.t()
-        return tuple(t ** c for c in self.exponents)
-
-
-def decay_kernel(D: DecayModule):
-    """(generators of the kernel of the diagonal map, the first of them
-    that is not a truncation ghost, or None), computed once per
-    `memo_scope`.
-
-    A generator is a ghost when each entry at index i vanishes to order at
-    least precision - c_i: the truncation forgets it, and it stands for no
-    kernel element of the decaying-function module."""
-    return memoised(("decay_kernel", D), _decay_kernel, D)
-
-
-def _decay_kernel(D: DecayModule):
-    gens = tuple(_kernel_gens(D.diagonal_hom()))
-    N = D.precision
-    for g in gens:
-        for e, c in zip(g, D.exponents):
-            if not e.is_zero() and e.valuation() < N - c:
-                return gens, g
-    return gens, None
-
-
-def _decay_separated(M: DecayModule, gens, budgets: Budgets) -> Verdict:
-    budget = {**budgets.as_dict(), "support": M.support,
-              "precision": M.precision}
-    gens = [g for g in gens if not g.is_zero()]
-    vals = [g.valuation() for g in gens]
-    if not gens or min(vals) < 1:
-        return verdicts.unknown(budget)
-    v = min(vals)
-    N, I = M.precision, M.support
-    m = M.element_m()
-    # forced-preimage certificate: the all-ones vector maps to m under the
-    # diagonal map (m is built as its image), and when every kernel
-    # generator is a truncation ghost every preimage of m is congruent to
-    # it at each index, so no preimage decays; at this window that
-    # certifies m != 0 in the completed module.
-    if decay_kernel(M)[1] is not None:
-        return verdicts.unknown(budget)
-    # membership witnesses: m in a^j M for every j with v*j < min(I, N)
-    avatar = M.avatar()
-    t = M.t()
-    memberships = []
-    jmax = 0
-    for j in range(1, N):
-        if v * j >= min(I, N):
-            break
-        cut = v * j
-        u = [M.ring.zero()] * I
-        for i in range(cut, I):
-            u[i] = t ** (M.exponents[i] - v * j)
-        gname = min(gens, key=lambda g: g.valuation())
-        power = gname ** j
-        shifted = tuple(power * e for e in u)
-        finite_part = tuple(a - b for a, b in zip(m, shifted))
-        ok = avatar.relations_basis().contains(finite_part)
-        if not ok:
-            return verdicts.unknown(budget)
-        memberships.append(j)
-        jmax = j
-    if not memberships:
-        return verdicts.unknown(budget)
-    return verdicts.fails({
-        "kind": "decaying_sum_element",
-        "element": vec_strs(m),
-        "memberships_verified": memberships,
-        "forced_preimage": "every preimage is 1 modulo t^(precision - i) "
-                           "at each index i, so none decays",
-        "note": f"m lies in a^j M for all j checked (up to {jmax}) and is "
-                "nonzero by the forced-preimage certificate"}, budget)
-
-
-def _decay_complete(M: DecayModule, gens, budgets: Budgets) -> Verdict:
-    sep = _decay_separated(M, gens, budgets)
-    budget = {**budgets.as_dict(), "support": M.support,
-              "precision": M.precision}
-    if sep.fails():
-        return verdicts.fails({
-            "kind": "completion_kernel",
-            "element": sep.witness.get("element"),
-            "note": "not separated, hence not complete"}, budget)
     return verdicts.unknown(budget)

@@ -117,15 +117,24 @@ def _parse_module(ring, data, path) -> FPModule:
     return FPModule(ring, n, rels, grading=grading)
 
 
+def _degree(key: str, path: str) -> int:
+    """The degree a key names, which must be written as `str(degree)`, so
+    that no two keys name one degree."""
+    try:
+        j = int(key)
+    except ValueError:
+        j = None
+    if j is None or str(j) != key:
+        raise ParseError(path, "degree keys must be integers in canonical "
+                               "decimal form")
+    return j
+
+
 def _parse_complex(ring, data, modules, path) -> BoundedComplex:
     _check_keys(data, ["entries"], ["differentials"], path)
     entries = {}
     for key, val in _of_type(data["entries"], dict, f"{path}.entries").items():
-        try:
-            j = int(key)
-        except ValueError:
-            raise ParseError(f"{path}.entries.{key}",
-                             "degree keys must be integers") from None
+        j = _degree(key, f"{path}.entries.{key}")
         if isinstance(val, str):
             if val not in modules:
                 raise ParseError(f"{path}.entries.{key}",
@@ -137,11 +146,7 @@ def _parse_complex(ring, data, modules, path) -> BoundedComplex:
     differentials = _of_type(data.get("differentials", {}), dict,
                              f"{path}.differentials")
     for key, mat in differentials.items():
-        try:
-            j = int(key)
-        except ValueError:
-            raise ParseError(f"{path}.differentials.{key}",
-                             "degree keys must be integers") from None
+        j = _degree(key, f"{path}.differentials.{key}")
         src = entries.get(j)
         tgt = entries.get(j + 1)
         if src is None or tgt is None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .adic import (Budgets, DEFAULT_BUDGETS, DecayModule, chain_profile,
+from .adic import (Budgets, DEFAULT_BUDGETS, chain_profile,
                    ext0_vanishing_tower, ext1_vanishing_tower, is_separated,
                    memo_scope, memoised, vec_strs)
 from .complexes import (BoundedComplex, ComplexMap, cohomology,
@@ -113,19 +113,19 @@ def _telescope_ext(a: RingElem, M: FPModule, budgets: Budgets):
     a_cols = [tuple(a if i == t else ring.zero() for i in range(P.ambient_rank))
               for t in range(P.ambient_rank)]
     rho_cols = [rho.column(t) for t in range(rho.source.ambient_rank)]
-    sb_a = std_basis(a_cols + list(P.relations), ring,
-                     ambient_rank=P.ambient_rank)
-    sb_r = std_basis(rho_cols + list(P.relations), ring,
-                     ambient_rank=P.ambient_rank)
-    pattern = all(sb_a.contains(c) for c in rho_cols) and \
-        all(sb_r.contains(c) for c in a_cols)
+    # both spans hold the relations, so they agree iff their canonical
+    # bases do
+    pattern = (std_basis(a_cols + list(P.relations), ring,
+                         ambient_rank=P.ambient_rank).generators
+               == std_basis(rho_cols + list(P.relations), ring,
+                            ambient_rank=P.ambient_rank).generators)
     details["restriction_is_multiplication"] = pattern
     if not (support_ok and pattern):
         return stage_vals, None, details
     return stage_vals, P, details
 
 
-def ext_localization(index: int, a: RingElem, M,
+def ext_localization(index: int, a: RingElem, M: FPModule,
                      budgets: Budgets = DEFAULT_BUDGETS,
                      route: str = "both") -> ExtApprox:
     """Ext^index of the localization at a into M, index in {0, 1}.
@@ -142,8 +142,6 @@ def ext_localization(index: int, a: RingElem, M,
         raise BudgetExceeded("only indices 0 and 1 are meaningful here")
     if route not in ("both", "tower", "telescope"):
         raise BudgetExceeded(f"unknown route {route!r}")
-    if isinstance(M, DecayModule):
-        M = M.avatar()
     budget = budgets.as_dict()
 
     def tower_verdict():
@@ -253,19 +251,6 @@ def is_cohomologically_complete(M, gens, budgets: Budgets = DEFAULT_BUDGETS,
     directly without splitting into generators."""
     gens = [g for g in gens if not g.is_zero()]
     budget = budgets.as_dict()
-    if isinstance(M, DecayModule):
-        avatar = M.avatar()
-        sub = {}
-        for a in gens:
-            sub[element_to_str(a)] = _principal_cc(avatar, a, budgets, "both")
-        v = verdicts.conjunction(sub)
-        if v.holds():
-            return verdicts.holds({
-                "kind": "avatar_localization_ext_vanishing",
-                "note": "finite-stage avatar of the decaying-function "
-                        "quotient; nilpotent scalar action",
-                "generators": sorted(sub)}, budget)
-        return v
     if isinstance(M, BoundedComplex):
         named = {}
         for j in M.window():
@@ -319,7 +304,8 @@ def koszul_route_cc(M: FPModule, a: RingElem,
     ascending annihilator chain plus the quotient tower."""
     budget = budgets.as_dict()
     ring = M.ring
-    # ascending annihilator chain ker(a^j)
+    # ascending annihilator chain ker(a^j); every span holds the relations,
+    # so two agree iff their canonical bases do
     prev = None
     ann_stable = None
     for j in range(1, budgets.window + 1):
@@ -328,14 +314,11 @@ def koszul_route_cc(M: FPModule, a: RingElem,
         ker, incl = kernel_hom(ModuleHom(M, M, mat, check=False))
         gens_j = [incl.column(t) for t in range(ker.ambient_rank)]
         span_j = std_basis(gens_j + list(M.relations), ring,
-                           ambient_rank=M.ambient_rank)
-        if prev is not None:
-            stable = all(span_j.contains(g) for g in prev[1]) and \
-                all(prev[0].contains(g) for g in gens_j)
-            if stable:
-                ann_stable = j - 1
-                break
-        prev = (span_j, gens_j)
+                           ambient_rank=M.ambient_rank).generators
+        if span_j == prev:
+            ann_stable = j - 1
+            break
+        prev = span_j
     if ann_stable is None:
         return verdicts.unknown({**budget, "reason": "annihilator chain open"})
     # torsion tower conditions hold once the annihilator chain stabilizes

@@ -1,17 +1,17 @@
 import pytest
 
-from adiclab import adic
-from adiclab.adic import (Budgets, DecayModule, chain_profile,
-                          completion_tower, ext0_vanishing_tower,
-                          ext1_vanishing_tower, is_complete, is_separated,
-                          lim_tower, memo_scope, multiplication_tower,
-                          nilpotent_on_module)
+from adiclab import adic, theorems
+from adiclab.adic import (Budgets, chain_profile, completion_tower,
+                          ext0_vanishing_tower, ext1_vanishing_tower,
+                          is_complete, is_separated, lim_tower, memo_scope,
+                          multiplication_tower, nilpotent_on_module)
 from adiclab.errors import BudgetExceeded
 from adiclab.modules import (FPModule, ModuleHom, compose, free_module,
                              modules_isomorphic, quotient_module, std_basis)
 from adiclab.rings import (parse_element, ring_integers, ring_polynomial,
                            ring_power_series, ring_prime_field,
                            ring_rationals)
+from adiclab.theorems import DecayModule
 from tests_util_algebra import cyclic_module, modules_equal
 
 ZZ = ring_integers()
@@ -283,40 +283,36 @@ def test_nilpotency_oracle():
 
 
 # ---------------------------------------------------------------------------
-# decaying functions
+# decaying functions: the anomalous example's separatedness, which lives in
+# `theorems` beside the example
 
 
 def test_decay_module_separated_fails():
     KT8 = ring_power_series(QQ, "t", 8)
     M = DecayModule(KT8, 8, tuple(range(8)))
-    t = KT8.variable("t")
-    v = is_separated(M, [t], Budgets())
+    v = theorems._decay_separated(M, M.avatar(), Budgets())
     assert v.fails()
     assert v.witness["kind"] == "decaying_sum_element"
     assert v.witness["memberships_verified"] == list(range(1, 8))
-    vc = is_complete(M, [t], Budgets())
-    assert vc.fails()
 
 
 def test_decay_module_with_a_genuine_kernel_element(monkeypatch):
     # t^c x = 0 in QQ[[t]]/t^4 puts x in t^(4 - c), so every kernel
     # generator of a diagonal map is a ghost; a substituted kernel with a
-    # genuine element must leave separatedness and completeness open
+    # genuine element must leave separatedness open
     KT4 = ring_power_series(QQ, "t", 4)
     D = DecayModule(KT4, 2, (0, 1))
-    t = KT4.variable("t")
-    genuine = (KT4.zero(), t)
-    monkeypatch.setattr(adic, "_kernel_gens", lambda f: [genuine])
-    assert adic.decay_kernel(D) == ((genuine,), genuine)
-    assert is_separated(D, [t], Budgets()).status == "unknown"
-    assert is_complete(D, [t], Budgets()).status == "unknown"
+    genuine = (KT4.zero(), KT4.variable("t"))
+    monkeypatch.setattr(theorems, "_kernel_gens", lambda f: [genuine])
+    assert theorems.decay_kernel(D) == ((genuine,), genuine)
+    assert theorems._decay_separated(D, D.avatar(),
+                                     Budgets()).status == "unknown"
 
 
 def test_decay_module_minimal_instance():
     KT2 = ring_power_series(QQ, "t", 2)
     M = DecayModule(KT2, 2, (0, 1))
-    t = KT2.variable("t")
-    v = is_separated(M, [t], Budgets())
+    v = theorems._decay_separated(M, M.avatar(), Budgets())
     assert v.fails()
     assert 1 in v.witness["memberships_verified"]
 
@@ -347,6 +343,23 @@ def test_tower_window_isomorphisms_from_last_transition():
     T = completion_tower(M, [x], depth=4, budgets=b)
     assert T.stabilization(b) == (3, {"kind": "window_isomorphisms",
                                       "from": 3})
+
+
+@pytest.mark.parametrize("M, a, stab", [
+    # 2 is a unit on ZZ/3: the chain's stable tail is all of M, so the
+    # window decides, and every transition is an isomorphism
+    (cyclic_module(ZZ, ZZ.from_int(3)), ZZ.from_int(2),
+     (0, {"kind": "window_isomorphisms", "from": 0})),
+    # a nonzero tail (4 ZZ/12) or a free summand, and no transition is an
+    # isomorphism
+    (cyclic_module(ZZ, ZZ.from_int(12)), ZZ.from_int(2), None),
+    (free_module(ZZ, 1), ZZ.from_int(2), None),
+    # t is nilpotent: the chain reaches zero, so the tower is pro-zero
+    (free_module(KT3, 1), KT3.variable("t"),
+     (3, {"kind": "chain_iteration", "index": 3})),
+])
+def test_multiplication_tower_stabilization(M, a, stab):
+    assert multiplication_tower(M, a).stabilization() == stab
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,18 @@ def _z12_map(**fields):
      "$.maps.f.kernel[0]: expected a string, got bool"),
     (_z12_task(command="check_lemma1", element=True),
      "$.tasks[0].element: expected a string, got bool"),
+    # degree keys are written as str(degree), so no two name one degree
+    (_z12_complex(entries={"0": {"ambient_rank": 1},
+                           "00": {"ambient_rank": 2}}),
+     "$.complexes.C.entries.00: degree keys must be integers"),
+    (_z12_complex(entries={"0": {"ambient_rank": 1},
+                           " 1": {"ambient_rank": 1}}),
+     "$.complexes.C.entries. 1: degree keys must be integers"),
+    (_z12_complex(entries={"0": {"ambient_rank": 1},
+                           "+1": {"ambient_rank": 1}}),
+     "$.complexes.C.entries.+1: degree keys must be integers"),
+    (_z12_complex(differentials={"1_0": [["4"]]}),
+     "$.complexes.C.differentials.1_0: degree keys must be integers"),
 ])
 def test_malformed_numeric_field_is_parse_error(tmp_path, capsys, data,
                                                 position):

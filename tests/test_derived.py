@@ -1,7 +1,7 @@
 import pytest
 
 from adiclab import derived
-from adiclab.adic import Budgets, DecayModule, is_separated, memo_scope
+from adiclab.adic import Budgets, is_separated, memo_scope
 from adiclab.complexes import cohomology, hom_complex, shift_complex
 from adiclab.derived import (ext_localization, is_cohomologically_complete,
                              koszul_route_cc, telescope_stage)
@@ -9,6 +9,7 @@ from adiclab.modules import (FPModule, free_module, modules_isomorphic,
                              zero_module)
 from adiclab.rings import (ring_integers, ring_polynomial, ring_power_series,
                            ring_rationals)
+from adiclab.theorems import DecayModule
 from tests_util_algebra import cyclic_module
 from tests_util_telescope import single_telescope
 
@@ -107,8 +108,10 @@ def test_cc_examples():
 
 
 def test_cc_decay_module_holds():
+    # the anomalous module's avatar, the presentation its cohomological
+    # completeness is read on
     KT8 = ring_power_series(QQ, "t", 8)
-    M = DecayModule(KT8, 8, tuple(range(8)))
+    M = DecayModule(KT8, 8, tuple(range(8))).avatar()
     t = KT8.variable("t")
     v = is_cohomologically_complete(M, [t], Budgets(stages=4))
     assert v.holds()
@@ -169,17 +172,16 @@ def _counting(monkeypatch, name):
 
 def test_cc_runs_each_telescope_analysis_once(monkeypatch):
     KT4 = ring_power_series(QQ, "t", 4)
-    D = DecayModule(KT4, 4, (0, 1, 2, 3))
+    M = DecayModule(KT4, 4, (0, 1, 2, 3)).avatar()
     t = KT4.variable("t")
     stages = _counting(monkeypatch, "telescope_stage")
     isos = _counting(monkeypatch, "modules_isomorphic")
-    assert is_cohomologically_complete(D, [t]).holds()
+    assert is_cohomologically_complete(M, [t]).holds()
     # one analysis builds the stage-N and stage-(N+1) telescopes; Ext^0
     # and Ext^1 both read it and one stage-value check
     assert len(stages) == 2
     assert len(isos) == 1
     # a memoised analysis hands each result its own details dict
-    M = D.avatar()
     with memo_scope():
         both = ext_localization(0, t, M, route="both")
         tele = ext_localization(1, t, M, route="telescope")

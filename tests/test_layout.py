@@ -37,3 +37,10 @@ def test_library_definitions_have_library_callers():
                            for _, other, loads in statements
                            if other is not node)]
     assert not uncalled, "no caller in src/adiclab: " + ", ".join(uncalled)
+
+
+def test_adic_and_derived_decide_presentations_only():
+    # the anomalous example's module and its readers live in `theorems`;
+    # the deciders take modules and complexes as presented
+    for name in ("adic.py", "derived.py"):
+        assert "DecayModule" not in (SRC / name).read_text(encoding="utf-8")

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from adiclab import adic
-from adiclab.adic import (Budgets, ChainProfile, DecayModule, chain_profile,
-                          decay_kernel, ext0_vanishing_tower,
-                          ext1_vanishing_tower, is_complete, is_separated,
-                          lim_tower, memo_scope, multiplication_tower,
-                          nilpotent_on_module)
+from adiclab.adic import (Budgets, ChainProfile, chain_profile,
+                          ext0_vanishing_tower, ext1_vanishing_tower,
+                          is_complete, is_separated, lim_tower, memo_scope,
+                          multiplication_tower, nilpotent_on_module)
 from adiclab.complexes import (BoundedComplex, ComplexMap, cohomology,
                                complex_from_module, hom_complex)
-from adiclab import modules, verdicts
+from adiclab import derived, modules, verdicts
 from adiclab.derived import ext_localization, is_cohomologically_complete
 from adiclab.groebner import ModuleBasis, exps_divides
 from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec,
@@ -35,8 +34,8 @@ from adiclab.rings import (IntegerScalars, PrimeFieldScalars, RationalScalars,
                            ring_power_series, ring_quotient, ring_rationals,
                            ring_to_desc)
 from adiclab.smith import smith_normal_form
-from adiclab.theorems import (build_example1, check_lemma1, check_theorem2,
-                              check_theorem4)
+from adiclab.theorems import (DecayModule, build_example1, check_lemma1,
+                              check_theorem2, check_theorem4, decay_kernel)
 from tests_util_algebra import _tensor_blocks, cyclic_module, tensor_complex
 from tests_util_telescope import single_telescope
 
@@ -1001,6 +1000,26 @@ def test_cc_equals_its_two_ext_indices_computed_apart(case):
         if want.fails():
             degree = 0 if want.witness["component"] == "ext0_vanishing" else 1
             assert got.witness["obstruction_degree"] == degree
+
+
+_STAGE_RINGS = [ZZ, QX, ring_polynomial(ring_prime_field(5), ("x", "y")), KT4]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_module_and_element(_STAGE_RINGS), st.sampled_from([2, 3]))
+def test_telescope_stages_hold_their_invariants(case, stages):
+    # the stage identities the telescope route rests on: cohomology only in
+    # degrees 0 and 1 of the plus part, restriction acting as
+    # multiplication by a, and stage values isomorphic to M; so the
+    # route's "stage pattern unverified" answer never comes
+    M, a = case
+    stage_vals, P, details = derived._telescope_ext(a, M,
+                                                    Budgets(stages=stages))
+    assert details["plus_support_in_01"]
+    assert details["restriction_is_multiplication"]
+    assert P is not None
+    for H in stage_vals.values():
+        assert modules_isomorphic(H, M) in (True, None)
 
 
 @st.composite

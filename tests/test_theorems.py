@@ -1,7 +1,7 @@
 import pytest
 
 from adiclab import adic, theorems
-from adiclab.adic import Budgets, DecayModule
+from adiclab.adic import Budgets
 from adiclab.complexes import BoundedComplex, complex_from_module
 from adiclab.errors import BudgetExceeded, NonSurjectiveReduction
 from adiclab.modules import FPModule, ModuleHom, free_module, modules_isomorphic
@@ -9,7 +9,7 @@ from adiclab.rings import (RingMap, ring_integers, ring_polynomial,
                            ring_power_series, ring_prime_field,
                            ring_rationals)
 from adiclab.theorems import (CONSISTENT, INCONSISTENT, INDECISIVE,
-                              build_example1, canonical_digest, check_lemma1,
+                              DecayModule, build_example1, canonical_digest, check_lemma1,
                               check_lemma5, check_theorem2, check_theorem3,
                               check_theorem4, default_kernel_gens,
                               transport_module)
@@ -37,15 +37,12 @@ def test_theorem2_zz():
     assert rep.consistent == CONSISTENT
 
 
-def test_theorem2_example1_via_override():
+def test_theorem2_sides_on_example1():
+    # Theorem 2's right side on the anomalous module: separatedness fails
+    # although cohomological completeness holds
     ex = build_example1(4, 4, budgets=B)
-    rep = check_theorem2(ex.complex, [ex.module.t()], B,
-                         cohomology_modules={0: ex.module})
-    assert rep.left.fails()          # H^0 is not complete
-    assert rep.right.fails()         # separatedness fails though cc holds
-    assert rep.consistent == CONSISTENT
-    assert rep.sub_reports["cc_H^0"].holds()
-    assert rep.sub_reports["separated_H^0"].fails()
+    assert ex.report["separated"].fails()
+    assert ex.report["cohomologically_complete"].holds()
 
 
 def test_theorem3_nilpotent_both_hold():
@@ -224,8 +221,8 @@ def test_example1_standard():
 
 def test_example1_computes_the_diagonal_kernel_once(monkeypatch):
     calls = []
-    compute = adic._decay_kernel
-    monkeypatch.setattr(adic, "_decay_kernel",
+    compute = theorems._decay_kernel
+    monkeypatch.setattr(theorems, "_decay_kernel",
                         lambda D: calls.append(D) or compute(D))
     ex = build_example1(4, 4, budgets=B)
     # separatedness and the quasi-isomorphism both read it
@@ -242,7 +239,7 @@ def test_example1_genuine_kernel_element_refutes_quasi_iso(monkeypatch):
     KT4 = ring_power_series(QQ, "t", 4)
     D = DecayModule(KT4, 2, (0, 1))
     genuine = (KT4.zero(), KT4.variable("t"))
-    monkeypatch.setattr(adic, "_kernel_gens", lambda f: [genuine])
+    monkeypatch.setattr(theorems, "_kernel_gens", lambda f: [genuine])
     F = free_module(KT4, 2)
     P = BoundedComplex(KT4, {-1: F, 0: F}, {-1: D.diagonal_hom()})
     v = theorems._example1_quasi_iso(D, P, D.avatar(), B)
