@@ -60,12 +60,22 @@ def _of_type(value, kind, path):
     return value
 
 
-def _strings(values, path):
-    """The list `values`, when every item is a string (the JSON form of a
-    ring element); else a ParseError at the first item that is not."""
-    for j, v in enumerate(values):
-        _of_type(v, str, f"{path}[{j}]")
-    return values
+def _built(path, make, *args):
+    """make(*args), with a library error turned into a ParseError at
+    `path`."""
+    try:
+        return make(*args)
+    except AdicLabError as e:
+        raise ParseError(path, str(e)) from None
+
+
+def _elements(ring, strings, path):
+    """The ring elements that the JSON list `strings` writes: a ParseError
+    at the first item that is not a string, or at `path` when one does not
+    parse."""
+    for j, s in enumerate(_of_type(strings, list, path)):
+        _of_type(s, str, f"{path}[{j}]")
+    return [_built(path, parse_element, ring, s) for s in strings]
 
 
 def _check_keys(obj, required, optional, path):
@@ -89,7 +99,8 @@ class Instance:
     complexes: dict
     ideals: dict
     maps: dict
-    tasks: list
+    tasks: list       # as written, for the digest
+    runs: list        # (command, resolved fields) per task
     seed: int | None
 
 
@@ -104,11 +115,7 @@ def _parse_module(ring, data, path) -> FPModule:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{path}.relations[{i}]",
                              f"expected a row of {n} coefficient strings")
-        _strings(row, f"{path}.relations[{i}]")
-        try:
-            rels.append(tuple(parse_element(ring, s) for s in row))
-        except AdicLabError as e:
-            raise ParseError(f"{path}.relations[{i}]", str(e)) from None
+        rels.append(tuple(_elements(ring, row, f"{path}.relations[{i}]")))
     grading = data.get("grading")
     if grading is not None and not (
             isinstance(grading, list) and len(grading) == n
@@ -146,56 +153,152 @@ def _parse_complex(ring, data, modules, path) -> BoundedComplex:
     differentials = _of_type(data.get("differentials", {}), dict,
                              f"{path}.differentials")
     for key, mat in differentials.items():
-        j = _degree(key, f"{path}.differentials.{key}")
+        dpath = f"{path}.differentials.{key}"
+        j = _degree(key, dpath)
         src = entries.get(j)
         tgt = entries.get(j + 1)
         if src is None or tgt is None:
-            raise ParseError(f"{path}.differentials.{key}",
-                             "differential outside the declared window")
-        for i, row in enumerate(_of_type(mat, list,
-                                         f"{path}.differentials.{key}")):
-            _strings(_of_type(row, list, f"{path}.differentials.{key}[{i}]"),
-                     f"{path}.differentials.{key}[{i}]")
-        try:
-            rows = [tuple(parse_element(ring, s) for s in row) for row in mat]
-            diffs[j] = ModuleHom(src, tgt, rows)
-        except AdicLabError as e:
-            raise ParseError(f"{path}.differentials.{key}", str(e)) from None
-    try:
-        return BoundedComplex(ring, entries, diffs)
-    except AdicLabError as e:
-        raise ParseError(path, str(e)) from None
+            raise ParseError(dpath, "differential outside the declared window")
+        rows = [_elements(ring, row, f"{dpath}[{i}]")
+                for i, row in enumerate(_of_type(mat, list, dpath))]
+        diffs[j] = _built(dpath, ModuleHom, src, tgt, rows)
+    return _built(path, BoundedComplex, ring, entries, diffs)
 
 
-_TASK_SCHEMAS = {
-    "check_theorem2": (["complex", "ideal"], []),
-    "check_theorem3": (["module", "ideals"], []),
-    "check_theorem4": (["module", "ideal"], ["transport"]),
-    "check_lemma1": (["module", "element"], []),
-    "check_lemma5": (["map", "b_index", "module"], []),
-    "build_example1": (["support", "precision"], []),
-    "is_separated": (["module", "ideal"], []),
-    "is_complete": (["module", "ideal"], []),
-    "is_cohomologically_complete": (["module", "ideal"], ["route"]),
-    "ext_localization": (["index", "module", "element"], ["route"]),
-    "completion_tower": (["module", "ideal"], ["depth"]),
-    "lim_tower": (["module"], ["ideal", "element", "kind"]),
+# ---------------------------------------------------------------------------
+# task commands
+
+
+def _verdict(v: Verdict) -> dict:
+    """The report fields of a command that decides one property."""
+    return {"status": v.status, "verdict": v.to_data()}
+
+
+def _equivalence(rep: EquivalenceReport) -> dict:
+    """The report fields of a command that checks an equivalence."""
+    data = rep.to_data()
+    return {"status": rep.consistent, "left": data["left"],
+            "right": data["right"], "sub_reports": data["sub_reports"],
+            "instance_digest": data["instance_digest"]}
+
+
+def _run_example1(f, b):
+    ex = build_example1(f["support"], f["precision"], budgets=b)
+    statuses = [v.status for v in ex.report.values()]
+    return {"status": "unknown" if "unknown" in statuses else "decisive",
+            "support": f["support"], "precision": f["precision"],
+            "element": [element_to_str(e) for e in ex.element],
+            "verdicts": {k: v.to_data() for k, v in sorted(ex.report.items())}}
+
+
+def _run_ext(f, b):
+    e = ext_localization(f["index"], f["element"], f["module"], b,
+                         route=f.get("route", "both"))
+    return {**_verdict(e.vanishing), "agreement": e.agreement}
+
+
+def _run_completion_tower(f, b):
+    T = completion_tower(f["module"], f["ideal"],
+                         depth=f.get("depth", b.depth), budgets=b)
+    stab = T.stabilization(b)
+    return {"status": "decisive" if stab else "unknown",
+            "stabilized_at": stab[0] if stab else None,
+            "certificate": stab[1] if stab else None}
+
+
+def _run_lim_tower(f, b):
+    if f.get("kind") == "multiplication":
+        T = multiplication_tower(f["module"], f["element"], b.depth)
+    else:
+        T = completion_tower(f["module"], f["ideal"], b.depth, b)
+    rep, lim1 = lim_tower(T, b)
+    return {"status": "decisive" if rep.decisive and lim1.decisive
+            else "unknown",
+            "lim": {"decisive": rep.decisive, "note": rep.note,
+                    "stabilized_at": rep.stabilized_at},
+            "lim1_vanishing": lim1.to_data()}
+
+
+# command -> (required fields, optional fields, runner).  An optional field
+# maps to the values it may take, or None when it is not enumerated; every
+# task may also override `budgets`, and `lim_tower` needs the field its kind
+# reads.  A runner takes the task's resolved fields and budgets and returns
+# its report fields.  Runners name the library's functions when they run,
+# never hold them, so that a rebinding of this module's names reaches every
+# call.
+_COMMANDS = {
+    "check_theorem2": (("complex", "ideal"), {}, lambda f, b: _equivalence(
+        check_theorem2(f["complex"], f["ideal"], b))),
+    "check_theorem3": (("module", "ideals"), {}, lambda f, b: _equivalence(
+        check_theorem3(f["module"], f["ideals"], b))),
+    "check_theorem4": (
+        ("module", "ideal"), {"transport": None},
+        lambda f, b: _equivalence(check_theorem4(
+            f["module"], f["ideal"], b, transport=f.get("transport")))),
+    "check_lemma1": (("module", "element"), {}, lambda f, b: _equivalence(
+        check_lemma1(f["module"], f["element"], b))),
+    "check_lemma5": (
+        ("map", "b_index", "module"), {},
+        lambda f, b: _equivalence(check_lemma5(
+            f["map"][0], f["b_index"], f["module"], b,
+            kernel_gens=f["map"][1] or None))),
+    "build_example1": (("support", "precision"), {}, _run_example1),
+    "is_separated": (("module", "ideal"), {}, lambda f, b: _verdict(
+        is_separated(f["module"], f["ideal"], b))),
+    "is_complete": (("module", "ideal"), {}, lambda f, b: _verdict(
+        is_complete(f["module"], f["ideal"], b))),
+    "is_cohomologically_complete": (
+        ("module", "ideal"),
+        {"route": ("auto", "tower", "telescope", "joint_chain")},
+        lambda f, b: _verdict(is_cohomologically_complete(
+            f["module"], f["ideal"], b, route=f.get("route", "auto")))),
+    "ext_localization": (("index", "module", "element"),
+                         {"route": ("both", "tower", "telescope")}, _run_ext),
+    "completion_tower": (("module", "ideal"), {"depth": None},
+                         _run_completion_tower),
+    "lim_tower": (("module",), {"ideal": None, "element": None,
+                                "kind": ("quotient", "multiplication")},
+                  _run_lim_tower),
 }
-
-# The values an enumerated task field may take.
-_TASK_CHOICES = {
-    "is_cohomologically_complete": {
-        "route": ("auto", "tower", "telescope", "joint_chain")},
-    "ext_localization": {"route": ("both", "tower", "telescope")},
-    "lim_tower": {"kind": ("quotient", "multiplication")},
-}
-
-# The JSON type of each task field that names a declared object, an element
-# or a switch.
-_TASK_FIELD_TYPES = {"module": str, "complex": str, "ideal": str, "map": str,
-                     "ideals": list, "element": str, "transport": bool}
 
 _BUDGET_FIELDS = tuple(Budgets().as_dict())
+
+
+def _task_field(key, value, choices, ring, named, path):
+    """A task field, checked and resolved by its name.  The name of a
+    declared module, complex, ideal or map becomes the object (`named` maps
+    each of these keys to its section), `ideals` a list of ideals and
+    `element` a ring element; `transport` is a boolean, `budgets` a set of
+    overrides, a field with `choices` one of them, and any other field an
+    integer."""
+    if key in named:
+        pool = named[key]
+        if _of_type(value, str, path) not in pool:
+            raise ParseError(path, f"undeclared {key} {value!r}")
+        return pool[value]
+    if key == "ideals":
+        for nm in _of_type(value, list, path):
+            if not isinstance(nm, str) or nm not in named["ideal"]:
+                raise ParseError(path, f"undeclared ideal {nm!r}")
+        return [named["ideal"][nm] for nm in value]
+    if key == "element":
+        return _elements(ring, [_of_type(value, str, path)], path)[0]
+    if key == "transport":
+        return _of_type(value, bool, path)
+    if key == "budgets":
+        _check_keys(value, [], _BUDGET_FIELDS, path)
+        for k, v in value.items():
+            if not _is_int(v) or v < 0:
+                raise ParseError(f"{path}.{k}",
+                                 "expected a nonnegative integer")
+        return value
+    if choices is not None:
+        if value not in choices:
+            raise ParseError(path, f"expected one of {', '.join(choices)}")
+        return value
+    if not _is_int(value):
+        raise ParseError(path, "expected an integer")
+    return value
 
 
 def _section(data, key, path):
@@ -206,10 +309,7 @@ def _section(data, key, path):
 def parse_instance(data, path="$") -> Instance:
     _check_keys(data, ["ring", "tasks"],
                 ["modules", "complexes", "ideals", "maps", "seed"], path)
-    try:
-        ring = make_ring(data["ring"])
-    except AdicLabError as e:
-        raise ParseError(f"{path}.ring", str(e)) from None
+    ring = _built(f"{path}.ring", make_ring, data["ring"])
     modules = {}
     for name, mdata in _section(data, "modules", path).items():
         modules[name] = _parse_module(ring, mdata, f"{path}.modules.{name}")
@@ -217,16 +317,8 @@ def parse_instance(data, path="$") -> Instance:
     for name, cdata in _section(data, "complexes", path).items():
         complexes[name] = _parse_complex(ring, cdata, modules,
                                          f"{path}.complexes.{name}")
-    ideals = {}
-    for name, gens in _section(data, "ideals", path).items():
-        if not isinstance(gens, list):
-            raise ParseError(f"{path}.ideals.{name}",
-                             "an ideal is a list of coefficient strings")
-        _strings(gens, f"{path}.ideals.{name}")
-        try:
-            ideals[name] = [parse_element(ring, s) for s in gens]
-        except AdicLabError as e:
-            raise ParseError(f"{path}.ideals.{name}", str(e)) from None
+    ideals = {name: _elements(ring, gens, f"{path}.ideals.{name}")
+              for name, gens in _section(data, "ideals", path).items()}
     maps = {}
     for name, mdata in _section(data, "maps", path).items():
         mpath = f"{path}.maps.{name}"
@@ -236,70 +328,40 @@ def parse_instance(data, path="$") -> Instance:
             raise ParseError(mpath, "variables must be between 1 and 4")
         src = ring_polynomial(ring_integers(),
                               tuple(f"t{i+1}" for i in range(nvars)))
-        images = _strings(_of_type(mdata["images"], list, f"{mpath}.images"),
-                          f"{mpath}.images")
-        kernel = _strings(_of_type(mdata.get("kernel", []), list,
-                                   f"{mpath}.kernel"), f"{mpath}.kernel")
-        try:
-            images = tuple(parse_element(ring, s) for s in images)
-            f = RingMap(src, ring, images)
-            kernel = [parse_element(src, s) for s in kernel]
-        except AdicLabError as e:
-            raise ParseError(mpath, str(e)) from None
-        maps[name] = (f, kernel)
+        images = _elements(ring, mdata["images"], f"{mpath}.images")
+        f = _built(mpath, RingMap, src, ring, tuple(images))
+        maps[name] = (f, _elements(src, mdata.get("kernel", []),
+                                   f"{mpath}.kernel"))
     tasks = data["tasks"]
     if not isinstance(tasks, list):
         raise ParseError(f"{path}.tasks", "tasks must be a list")
+    named = {"module": modules, "complex": complexes, "ideal": ideals,
+             "map": maps}
+    runs = []
     for idx, task in enumerate(tasks):
         tpath = f"{path}.tasks[{idx}]"
         if not isinstance(task, dict) or "command" not in task:
             raise ParseError(tpath, "each task needs a command")
         cmd = task["command"]
-        if not isinstance(cmd, str) or cmd not in _TASK_SCHEMAS:
+        if not isinstance(cmd, str) or cmd not in _COMMANDS:
             raise ParseError(tpath, f"unknown command {cmd!r}")
-        req, opt = _TASK_SCHEMAS[cmd]
-        _check_keys(task, ["command"] + req, opt + ["budgets"], tpath)
-        for key in ("support", "precision", "depth", "index", "b_index"):
-            if key in task and not _is_int(task[key]):
-                raise ParseError(f"{tpath}.{key}", "expected an integer")
-        for key, kind in _TASK_FIELD_TYPES.items():
-            if key in task:
-                _of_type(task[key], kind, f"{tpath}.{key}")
-        for key, allowed in _TASK_CHOICES.get(cmd, {}).items():
-            if key in task and task[key] not in allowed:
-                raise ParseError(f"{tpath}.{key}",
-                                 f"expected one of {', '.join(allowed)}")
+        required, optional, _ = _COMMANDS[cmd]
+        _check_keys(task, ["command", *required], [*optional, "budgets"],
+                    tpath)
+        fields = {key: _task_field(key, value, optional.get(key), ring,
+                                   named, f"{tpath}.{key}")
+                  for key, value in task.items() if key != "command"}
         if cmd == "lim_tower":
-            need = ("element" if task.get("kind") == "multiplication"
+            need = ("element" if fields.get("kind") == "multiplication"
                     else "ideal")
-            if need not in task:
+            if need not in fields:
                 raise ParseError(tpath, f"missing required field {need!r}")
-        if "budgets" in task:
-            _check_keys(task["budgets"], [], _BUDGET_FIELDS, f"{tpath}.budgets")
-            for key, val in task["budgets"].items():
-                if not _is_int(val) or val < 0:
-                    raise ParseError(f"{tpath}.budgets.{key}",
-                                     "expected a nonnegative integer")
-        for key in ("module", "complex"):
-            if key in task:
-                pool = modules if key == "module" else complexes
-                if task[key] not in pool:
-                    raise ParseError(f"{tpath}.{key}",
-                                     f"undeclared {key} {task[key]!r}")
-        if "ideal" in task and task["ideal"] not in ideals:
-            raise ParseError(f"{tpath}.ideal",
-                             f"undeclared ideal {task['ideal']!r}")
-        if "ideals" in task:
-            for nm in task["ideals"]:
-                if not isinstance(nm, str) or nm not in ideals:
-                    raise ParseError(f"{tpath}.ideals",
-                                     f"undeclared ideal {nm!r}")
-        if "map" in task and task["map"] not in maps:
-            raise ParseError(f"{tpath}.map", f"undeclared map {task['map']!r}")
+        runs.append((cmd, fields))
     seed = data.get("seed")
     if seed is not None and not _is_int(seed):
         raise ParseError(f"{path}.seed", "seed must be an integer")
-    return Instance(ring, modules, complexes, ideals, maps, list(tasks), seed)
+    return Instance(ring, modules, complexes, ideals, maps, list(tasks), runs,
+                    seed)
 
 
 def serialize_instance(inst: Instance) -> dict:
@@ -333,105 +395,6 @@ def serialize_instance(inst: Instance) -> dict:
 # task execution
 
 
-def _task_budgets(base: Budgets, task) -> Budgets:
-    return Budgets(**{**base.as_dict(), **task.get("budgets", {})})
-
-
-def _pack_verdict_task(command, v: Verdict, budgets: Budgets) -> dict:
-    return {"command": command, "status": v.status, "verdict": v.to_data(),
-            "budgets": budgets.as_dict()}
-
-
-def _pack_equivalence(command, rep: EquivalenceReport, budgets: Budgets) -> dict:
-    data = rep.to_data()
-    return {"command": command, "status": rep.consistent,
-            "left": data["left"], "right": data["right"],
-            "sub_reports": data["sub_reports"],
-            "instance_digest": data["instance_digest"],
-            "budgets": budgets.as_dict()}
-
-
-def run_task(inst: Instance, task: dict, budgets: Budgets) -> dict:
-    cmd = task["command"]
-    b = _task_budgets(budgets, task)
-    if cmd == "check_theorem2":
-        rep = check_theorem2(inst.complexes[task["complex"]],
-                             inst.ideals[task["ideal"]], b)
-        return _pack_equivalence(cmd, rep, b)
-    if cmd == "check_theorem3":
-        rep = check_theorem3(inst.modules[task["module"]],
-                             [inst.ideals[nm] for nm in task["ideals"]], b)
-        return _pack_equivalence(cmd, rep, b)
-    if cmd == "check_theorem4":
-        rep = check_theorem4(inst.modules[task["module"]],
-                             inst.ideals[task["ideal"]], b,
-                             transport=task.get("transport"))
-        return _pack_equivalence(cmd, rep, b)
-    if cmd == "check_lemma1":
-        elem = parse_element(inst.ring, task["element"])
-        rep = check_lemma1(inst.modules[task["module"]], elem, b)
-        return _pack_equivalence(cmd, rep, b)
-    if cmd == "check_lemma5":
-        f, kernel = inst.maps[task["map"]]
-        rep = check_lemma5(f, task["b_index"], inst.modules[task["module"]],
-                           b, kernel_gens=kernel or None)
-        return _pack_equivalence(cmd, rep, b)
-    if cmd == "build_example1":
-        ex = build_example1(task["support"], task["precision"], budgets=b)
-        verdicts_data = {k: v.to_data() for k, v in sorted(ex.report.items())}
-        statuses = [v.status for v in ex.report.values()]
-        status = "unknown" if "unknown" in statuses else "decisive"
-        return {"command": cmd, "status": status,
-                "support": task["support"], "precision": task["precision"],
-                "element": [element_to_str(e) for e in ex.element],
-                "verdicts": verdicts_data, "budgets": b.as_dict()}
-    if cmd == "is_separated":
-        v = is_separated(inst.modules[task["module"]],
-                         inst.ideals[task["ideal"]], b)
-        return _pack_verdict_task(cmd, v, b)
-    if cmd == "is_complete":
-        v = is_complete(inst.modules[task["module"]],
-                        inst.ideals[task["ideal"]], b)
-        return _pack_verdict_task(cmd, v, b)
-    if cmd == "is_cohomologically_complete":
-        v = is_cohomologically_complete(inst.modules[task["module"]],
-                                        inst.ideals[task["ideal"]], b,
-                                        route=task.get("route", "auto"))
-        return _pack_verdict_task(cmd, v, b)
-    if cmd == "ext_localization":
-        elem = parse_element(inst.ring, task["element"])
-        e = ext_localization(task["index"], elem, inst.modules[task["module"]],
-                             b, route=task.get("route", "both"))
-        out = _pack_verdict_task(cmd, e.vanishing, b)
-        out["index"] = task["index"]
-        out["agreement"] = e.agreement
-        return out
-    if cmd == "completion_tower":
-        M = inst.modules[task["module"]]
-        T = completion_tower(M, inst.ideals[task["ideal"]],
-                             depth=task.get("depth", b.depth), budgets=b)
-        stab = T.stabilization(b)
-        return {"command": cmd, "status": "decisive" if stab else "unknown",
-                "stabilized_at": stab[0] if stab else None,
-                "certificate": stab[1] if stab else None,
-                "budgets": b.as_dict()}
-    if cmd == "lim_tower":
-        M = inst.modules[task["module"]]
-        if task.get("kind") == "multiplication":
-            elem = parse_element(inst.ring, task["element"])
-            T = multiplication_tower(M, elem, b.depth)
-        else:
-            T = completion_tower(M, inst.ideals[task["ideal"]], b.depth, b)
-        rep, lim1 = lim_tower(T, b)
-        return {"command": cmd,
-                "status": "decisive" if rep.decisive and lim1.decisive
-                else "unknown",
-                "lim": {"decisive": rep.decisive, "note": rep.note,
-                        "stabilized_at": rep.stabilized_at},
-                "lim1_vanishing": lim1.to_data(), "budgets": b.as_dict()}
-    raise TaskError(-1, f"unhandled command {cmd}")
-
-
 _STATUS_SEVERITY = {
     "consistent": EXIT_OK, "holds": EXIT_OK, "fails": EXIT_OK,
     "decisive": EXIT_OK,
@@ -463,13 +426,14 @@ def run_instance(source, overrides: Budgets | None = None,
     digest = canonical_digest(serialize_instance(inst))
     task_reports = []
     with memo_scope():
-        for idx, task in enumerate(inst.tasks):
+        for idx, (command, fields) in enumerate(inst.runs):
+            b = Budgets(**{**budgets.as_dict(), **fields.get("budgets", {})})
             try:
-                out = run_task(inst, task, budgets)
+                out = _COMMANDS[command][2](fields, b)
             except AdicLabError as e:
                 raise TaskError(idx, str(e)) from None
-            out["index"] = idx
-            task_reports.append(out)
+            task_reports.append({**out, "command": command,
+                                 "budgets": b.as_dict(), "index": idx})
     severity = EXIT_OK
     for t in task_reports:
         severity = max(severity, _STATUS_SEVERITY.get(t["status"],
@@ -517,10 +481,6 @@ def emit_report(report: dict, fmt: str = "text") -> str:
 # instance generation
 
 
-PROFILES = ("pid", "mixed", "theorem3", "theorem2", "lemma1", "lemma5",
-            "example1")
-
-
 def _ring_descs_mixed():
     return [
         {"kind": "integers"},
@@ -533,6 +493,11 @@ def _ring_descs_mixed():
         {"kind": "truncated_power_series", "base": {"kind": "rationals"},
          "var": "t", "precision": 8},
     ]
+
+
+def _random_ring(rng):
+    descs = _ring_descs_mixed()
+    return descs[rng.randrange(len(descs))]
 
 
 _IDEAL_CATALOG = {
@@ -591,11 +556,8 @@ def _random_module_desc(rng, ring):
     return {"ambient_rank": rank, "relations": rels}
 
 
-def _gen_mixed(rng, seed):
-    descs = _ring_descs_mixed()
-    desc = descs[rng.randrange(len(descs))]
-    ring = make_ring(desc)
-    module = _random_module_desc(rng, ring)
+def _gen_theorem4(rng, seed, desc):
+    module = _random_module_desc(rng, make_ring(desc))
     ideal = rng.choice(_catalog_for(desc))
     return {
         "ring": desc,
@@ -606,23 +568,8 @@ def _gen_mixed(rng, seed):
     }
 
 
-def _gen_pid(rng, seed):
-    desc = {"kind": "integers"}
-    ring = make_ring(desc)
-    module = _random_module_desc(rng, ring)
-    ideal = rng.choice(_IDEAL_CATALOG["integers"])
-    return {
-        "ring": desc,
-        "modules": {"M": module},
-        "ideals": {"a": ideal},
-        "tasks": [{"command": "check_theorem4", "module": "M", "ideal": "a"}],
-        "seed": seed,
-    }
-
-
 def _gen_theorem3(rng, seed):
-    descs = [_ring_descs_mixed()[2], _ring_descs_mixed()[3]]
-    desc = descs[rng.randrange(2)]
+    desc = _ring_descs_mixed()[2:4][rng.randrange(2)]
     ring = make_ring(desc)
     shape = rng.randrange(5)
     if shape == 0:
@@ -653,8 +600,7 @@ def _gen_theorem2(rng, seed):
     """Bounded complexes of amplitude <= 3 assembled as direct sums of
     one-term and two-term blocks, so the differential squares to zero by
     construction."""
-    descs = _ring_descs_mixed()
-    desc = descs[rng.randrange(len(descs))]
+    desc = _random_ring(rng)
     ring = make_ring(desc)
     ideal = rng.choice(_catalog_for(desc))
     lo = rng.randrange(-1, 2)
@@ -706,10 +652,8 @@ def _gen_theorem2(rng, seed):
 
 
 def _gen_lemma1(rng, seed):
-    descs = _ring_descs_mixed()
-    desc = descs[rng.randrange(len(descs))]
-    ring = make_ring(desc)
-    module = _random_module_desc(rng, ring)
+    desc = _random_ring(rng)
+    module = _random_module_desc(rng, make_ring(desc))
     elem = rng.choice(_catalog_for(desc))[0]
     return {
         "ring": desc,
@@ -772,14 +716,16 @@ def _gen_example1(rng, seed):
 
 
 _GENERATORS = {
-    "pid": _gen_pid,
-    "mixed": _gen_mixed,
+    "pid": lambda rng, seed: _gen_theorem4(rng, seed, {"kind": "integers"}),
+    "mixed": lambda rng, seed: _gen_theorem4(rng, seed, _random_ring(rng)),
     "theorem3": _gen_theorem3,
     "theorem2": _gen_theorem2,
     "lemma1": _gen_lemma1,
     "lemma5": _gen_lemma5,
     "example1": _gen_example1,
 }
+
+PROFILES = tuple(_GENERATORS)
 
 
 def generate_instances(seed: int, count: int, profile: str) -> list:
@@ -862,8 +808,8 @@ def main(argv=None) -> int:
                       help="tower depth budget")
     runp.add_argument("--stages", type=_int_at_least(0), default=8,
                       help="telescope stage budget")
-    runp.add_argument("--window", type=_int_at_least(0), default=2,
-                      help="stab_window budget")
+    runp.add_argument("--window", type=_int_at_least(0), default=8,
+                      help="limit window budget")
     runp.add_argument("--format", choices=["text", "machine"], default="text")
     runp.add_argument("--jobs", type=_int_at_least(1), default=1)
 
@@ -900,7 +846,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     budgets = Budgets(depth=args.precision, stages=args.stages,
-                      stab_window=args.window)
+                      window=args.window)
     # Byte-identical files give the same report apart from its label, so
     # only the first file of each content runs.  Its failure is the first
     # failure in file order, as its copies would fail the same way.

@@ -137,6 +137,16 @@ def test_zero_precision_is_a_budget(tmp_path, capsys):
     assert rep["tasks"][0]["budgets"]["depth"] == 0
 
 
+def test_window_flag_sets_the_window_budget(tmp_path, capsys):
+    f = tmp_path / "z12.json"
+    f.write_text(json.dumps(z12_instance()), encoding="utf-8")
+    code = main(["run", str(f), "--window", "3", "--format", "machine"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == rep["exit_status"]
+    for budgets in (rep["budgets"], rep["tasks"][0]["budgets"]):
+        assert (budgets["window"], budgets["stab_window"]) == (3, 2)
+
+
 def test_example1_demo_file(tmp_path, capsys):
     data = generate_instances(1, 1, "example1")[0]
     f = tmp_path / "ex1.json"
@@ -347,6 +357,17 @@ def _z12_map(**fields):
      "$.complexes.C.entries.+1: degree keys must be integers"),
     (_z12_complex(differentials={"1_0": [["4"]]}),
      "$.complexes.C.differentials.1_0: degree keys must be integers"),
+    # a string outside the grammar is named where it is written
+    (_z12_task(command="check_lemma1", element="zz"),
+     "$.tasks[0].element: parse error"),
+    (_z12_task(command="ext_localization", index=0, element="2+"),
+     "$.tasks[0].element"),
+    (_z12_task(command="lim_tower", kind="multiplication", element="q"),
+     "$.tasks[0].element"),
+    (_z12_complex(differentials={"0": [["4x"]]}),
+     "$.complexes.C.differentials.0[0]"),
+    (_z12_map(images=["2y"]), "$.maps.f.images"),
+    (_z12_map(kernel=["t1 - y"]), "$.maps.f.kernel"),
 ])
 def test_malformed_numeric_field_is_parse_error(tmp_path, capsys, data,
                                                 position):
@@ -714,6 +735,34 @@ def test_machine_report_bytes_are_pinned():
     assert digest.hexdigest() == PINNED_SHA256
 
 
+# sha256 of json.dumps(generate_instances(1, 20, profile), sort_keys=True)
+# for every profile: a change to a generator, or to the order of its
+# draws, changes the corpus that the pinned reports and the README's
+# corpus check read.
+GENERATED_SHA256 = {
+    "pid": "217eb250e022c3cefadeee41178c8c7a2a4e43ec0492d8006a21f6b140f14db6",
+    "mixed":
+        "89953d8598f7314c4facef82c3fc6b8323c9996d9791e9b2258cac4d83433176",
+    "theorem3":
+        "27e34982fd033aaf3393a208ae8b6f763483a30d458efb9d1c953b7157d4dc10",
+    "theorem2":
+        "e86b85ed3058daa8b58211de0a1baa501c91a73ec663a0f65f430947e477bdef",
+    "lemma1":
+        "19e954a8fbd97264bfb8ad4ea2638f57c493a28f1ba4f5ecf2f23a18621439fe",
+    "lemma5":
+        "201f6641b32384aa542de3339581357653adac87f9b77b09a85752f504374f85",
+    "example1":
+        "3b7a4315f186e85e9c2bc76ecdd6b5c9976f85b23b433bb1efbe80459ed84d6b",
+}
+
+
+@pytest.mark.parametrize("profile", cli.PROFILES)
+def test_generated_corpus_is_pinned(profile):
+    blob = json.dumps(generate_instances(1, 20, profile), sort_keys=True)
+    assert (hashlib.sha256(blob.encode()).hexdigest()
+            == GENERATED_SHA256[profile])
+
+
 def _all_commands_instance():
     """One small ZZ instance whose tasks run all twelve commands: every
     cohomological-completeness route, both Ext indices on every Ext route,
@@ -765,7 +814,7 @@ ALL_COMMANDS_SHA256 = \
 
 def test_machine_report_of_every_command_is_pinned():
     data = _all_commands_instance()
-    assert {t["command"] for t in data["tasks"]} == set(cli._TASK_SCHEMAS)
+    assert {t["command"] for t in data["tasks"]} == set(cli._COMMANDS)
     rep = run_instance(data)
     assert rep["exit_status"] == EXIT_OK
     report = emit_report(rep, "machine")
