@@ -719,20 +719,36 @@ def test_no_memo_scope_after_run_instance():
     assert adic._MEMO.get() is None
 
 
-# The machine reports of a small fixed corpus, hashed.  A change that must
-# not alter results (a refactor, a faster Groebner core) keeps this digest;
-# one that alters results on purpose records the new digest with a reason.
-PINNED_CORPUS = (("pid", 10), ("mixed", 10), ("lemma5", 10), ("theorem3", 2))
-PINNED_SHA256 = \
-    "a2cdc10e25d88be9cf624cadfd7fcca916faf79b44d627de8d43023f8105d492"
+# The machine reports of a small fixed corpus, hashed once per profile.  A
+# change that must not alter results (a refactor, a faster Groebner core)
+# keeps every digest; one that alters results on purpose records the new
+# digest of each profile it alters, with a reason, and the others show
+# that the rest stayed put.
+PINNED_CORPUS = {"pid": 10, "mixed": 10, "lemma5": 10, "theorem3": 2,
+                 "theorem2": 2, "lemma1": 2}
+PINNED_SHA256 = {
+    "pid": "dedc87a483a498482695885d974b492a84aca3fb7032a5f5ca68a8cac93dba78",
+    "mixed":
+        "4f2ace8d489e51cdea2fad71b691b55b565d9d90f450409b7eb9d14c26bd48ac",
+    "lemma5":
+        "80a663553e71707b589e7753fcc63caa9bf70d6f1cbec0a3439c972ef3a842b2",
+    "theorem3":
+        "97a6f319e4b4f490f9c084c7b42a42a192932fb86cfab59213ddf93e0c560041",
+    "theorem2":
+        "61ddb4a74116cbf3a76132d39bd1e4d9daa7c3beb8798de9fa399df5307037c1",
+    "lemma1":
+        "737f73df0b39db79ed739a3866a288ea09e0bbed7634eaae8a93348a673005ca",
+}
 
 
 def test_machine_report_bytes_are_pinned():
-    digest = hashlib.sha256()
-    for profile, count in PINNED_CORPUS:
+    got = {}
+    for profile, count in PINNED_CORPUS.items():
+        digest = hashlib.sha256()
         for data in generate_instances(1, count, profile):
             digest.update(emit_report(run_instance(data), "machine").encode())
-    assert digest.hexdigest() == PINNED_SHA256
+        got[profile] = digest.hexdigest()
+    assert got == PINNED_SHA256
 
 
 # sha256 of json.dumps(generate_instances(1, 20, profile), sort_keys=True)
