@@ -545,13 +545,10 @@ def ext0_vanishing_tower(M: FPModule, a: RingElem,
     return verdicts.unknown(budget)
 
 
-def is_complete(M: FPModule, gens, budgets: Budgets = DEFAULT_BUDGETS,
-                refutations: str = "all") -> Verdict:
-    """Decide bijectivity of the canonical map into the completion.
-
-    refutations: "all" allows both the localization-Ext route and the
-    non-stabilization route; "nonstab" restricts to stabilization-family
-    certificates (used by checkers that must avoid circularity)."""
+def is_complete(M: FPModule, gens,
+                budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
+    """Decide bijectivity of the canonical map into the completion, from
+    the chain profile of the ideal and separatedness alone."""
     budget = budgets.as_dict()
     gens = _gens_valid(M, gens)
     prof = chain_profile(M, gens, budgets)
@@ -569,24 +566,12 @@ def is_complete(M: FPModule, gens, budgets: Budgets = DEFAULT_BUDGETS,
             "stabilized_at": prof.stabilized_at,
             "note": "nonzero stable submodule is the kernel of the "
                     "completion comparison"}, budget)
-    if refutations not in ("all", "nonstab"):
-        raise BudgetExceeded(f"unknown refutation family {refutations!r}")
     sep = is_separated(M, gens, budgets)
     if sep.fails():
         return verdicts.fails({
             "kind": "completion_kernel",
             "element": sep.witness.get("element"),
             "note": "intersection of the chain is nonzero"}, budget)
-    if refutations == "all" and sep.holds():
-        for a in gens:
-            ext1 = ext1_vanishing_tower(M, a, budgets)
-            if ext1.fails():
-                return verdicts.fails({
-                    "kind": "localization_ext_obstruction",
-                    "generator": element_to_str(a),
-                    "ext1_witness": ext1.witness,
-                    "note": "separated with nonvanishing localization "
-                            "Ext^1 cannot be complete"}, budget)
     if prof.status == "strict_forever" and sep.holds():
         return verdicts.fails({
             "kind": "never_surjective",

@@ -222,10 +222,10 @@ def _run_lim_tower(f, b):
 # command -> (required fields, optional fields, runner).  An optional field
 # maps to the values it may take, or None when it is not enumerated; every
 # task may also override `budgets`, and `lim_tower` needs the field its kind
-# reads.  A runner takes the task's resolved fields and budgets and returns
-# its report fields.  Runners name the library's functions when they run,
-# never hold them, so that a rebinding of this module's names reaches every
-# call.
+# reads and rejects the one it does not.  A runner takes the task's resolved
+# fields and budgets and returns its report fields.  Runners name the
+# library's functions when they run, never hold them, so that a rebinding of
+# this module's names reaches every call.
 _COMMANDS = {
     "check_theorem2": (("complex", "ideal"), {}, lambda f, b: _equivalence(
         check_theorem2(f["complex"], f["ideal"], b))),
@@ -352,10 +352,13 @@ def parse_instance(data, path="$") -> Instance:
                                    named, f"{tpath}.{key}")
                   for key, value in task.items() if key != "command"}
         if cmd == "lim_tower":
-            need = ("element" if fields.get("kind") == "multiplication"
-                    else "ideal")
+            need, unread = (("element", "ideal")
+                            if fields.get("kind") == "multiplication"
+                            else ("ideal", "element"))
             if need not in fields:
                 raise ParseError(tpath, f"missing required field {need!r}")
+            if unread in fields:
+                raise ParseError(tpath, f"unknown fields {[unread]}")
         runs.append((cmd, fields))
     seed = data.get("seed")
     if seed is not None and not _is_int(seed):

@@ -11,7 +11,10 @@ M/a^(N+1)M in degree 0 and the a^(N+1)-annihilator in degree -1, the stage
 towers realize the completion and multiplication towers, and the stage
 restriction on the plus-part H^0 acts as multiplication by a.
 Cohomological completeness along a = (a_1..a_n) is decided one generator
-at a time, so only single-element stages are built.
+at a time, so only single-element stages are built.  The "joint_chain"
+route decides the whole ideal at once by `adic.is_complete` instead: for a
+finitely generated module over a noetherian ring (every supported ring is
+one) cohomological completeness is completeness.
 
 Localization Ext is assembled two independent ways: through the telescope
 stage cohomology towers, and through the multiplication tower directly;
@@ -22,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .adic import (Budgets, DEFAULT_BUDGETS, chain_profile,
-                   ext0_vanishing_tower, ext1_vanishing_tower, is_separated,
-                   memo_scope, memoised, vec_strs)
+                   ext0_vanishing_tower, ext1_vanishing_tower, is_complete,
+                   is_separated, memo_scope, memoised, vec_strs)
 from .complexes import (BoundedComplex, ComplexMap, cohomology,
                         hom_complex_map, induced_cohomology_map,
                         shift_complex)
@@ -205,41 +208,6 @@ def _principal_cc(M: FPModule, a: RingElem, budgets: Budgets,
     return v
 
 
-def _joint_chain_cc(M: FPModule, gens, budgets: Budgets) -> Verdict:
-    """Direct multi-generator analysis on the concatenated ideal, without
-    per-generator decomposition (kept independent so the decomposition law
-    can be tested against it)."""
-    budget = budgets.as_dict()
-    prof = chain_profile(M, gens, budgets)
-    if prof.status == "stabilized":
-        if not prof.tail_gens:
-            return verdicts.holds({
-                "kind": "nilpotent_chain",
-                "index": prof.stabilized_at}, budget)
-        return verdicts.fails({
-            "kind": "stable_divisible_tail",
-            "element": vec_strs(prof.tail_gens[0]),
-            "obstruction_degree": 0,
-            "note": "nonzero stable submodule yields nonzero compatible "
-                    "families against every stage"}, budget)
-    if prof.status == "strict_forever":
-        sep = is_separated(M, gens, budgets)
-        if sep.holds():
-            return verdicts.fails({
-                "kind": "incomplete_separated",
-                "obstruction_degree": 0,
-                "chain": prof.certificate,
-                "note": "separated but the quotient tower never stabilizes; "
-                        "a finitely generated module cannot surject onto the "
-                        "uncountable limit"}, budget)
-        if sep.fails():
-            return verdicts.fails({
-                "kind": "stable_divisible_tail",
-                "element": sep.witness.get("element"),
-                "obstruction_degree": 0}, budget)
-    return verdicts.unknown(budget)
-
-
 @memo_scope()
 def is_cohomologically_complete(M, gens, budgets: Budgets = DEFAULT_BUDGETS,
                                 route: str = "auto") -> Verdict:
@@ -247,8 +215,10 @@ def is_cohomologically_complete(M, gens, budgets: Budgets = DEFAULT_BUDGETS,
 
     route "auto" uses per-generator localization Ext (tower assembly with
     telescope cross-check); "telescope"/"tower" force one assembly on the
-    per-generator checks; "joint_chain" analyzes the concatenated ideal
-    directly without splitting into generators."""
+    per-generator checks; "joint_chain" decides completeness along the
+    whole ideal with `adic.is_complete`, which for a finitely generated
+    module over a noetherian ring is cohomological completeness (for a
+    complex, of each nonzero cohomology)."""
     gens = [g for g in gens if not g.is_zero()]
     budget = budgets.as_dict()
     if isinstance(M, BoundedComplex):
@@ -275,7 +245,7 @@ def is_cohomologically_complete(M, gens, budgets: Budgets = DEFAULT_BUDGETS,
     if not gens:
         return verdicts.holds({"kind": "zero_ideal"}, budget)
     if route == "joint_chain":
-        return _joint_chain_cc(M, gens, budgets)
+        return is_complete(M, gens, budgets)
     ext_route = {"auto": "both", "tower": "tower",
                  "telescope": "telescope"}.get(route)
     if ext_route is None:

@@ -107,8 +107,7 @@ def check_theorem2(M: BoundedComplex, gens,
     cohoms = {j: H for j, H in cohoms.items() if not H.is_zero()}
     left_parts, sep_parts = {}, {}
     for j, H in sorted(cohoms.items()):
-        left_parts[f"complete_H^{j}"] = is_complete(H, gens, budgets,
-                                                    refutations="nonstab")
+        left_parts[f"complete_H^{j}"] = is_complete(H, gens, budgets)
         sep_parts[f"separated_H^{j}"] = is_separated(H, gens, budgets)
     cc = is_cohomologically_complete(M, gens, budgets)
     left = verdicts.conjunction(left_parts) if left_parts else verdicts.holds(
@@ -255,7 +254,7 @@ def check_theorem4(M: FPModule, gens, budgets: Budgets = DEFAULT_BUDGETS,
                    transport: bool | None = None) -> EquivalenceReport:
     """Completeness against separatedness plus vanishing localization Ext^1
     for each generator; optionally replays the polynomial-ring transport."""
-    left = is_complete(M, gens, budgets, refutations="nonstab")
+    left = is_complete(M, gens, budgets)
     right_parts = {"separated": is_separated(M, gens, budgets)}
     for idx, a in enumerate(gens):
         ext = ext_localization(1, a, M, budgets, route="tower")
@@ -290,7 +289,7 @@ def _theorem4_transport(M: FPModule, gens, budgets: Budgets,
     kg = default_kernel_gens(f)
     MA = transport_module(f, M, kg)
     tvars = [A.variable(v) for v in A.vars]
-    left_A = is_complete(MA, tvars, budgets, refutations="nonstab")
+    left_A = is_complete(MA, tvars, budgets)
     sep_A = is_separated(MA, tvars, budgets)
     ext_A = {f"ext1_vanishing_{i}":
              ext_localization(1, tvars[i], MA, budgets, route="tower").vanishing
@@ -469,6 +468,30 @@ def _decay_kernel(D: DecayModule):
     return gens, None
 
 
+def decay_memberships(D: DecayModule, avatar: FPModule):
+    """Rows (j, u, member) for each j < min(support, precision): the
+    cofactors u, with u_i = t^(c_i - j) from index j on and 0 before it,
+    and whether m - t^j u lies in the relations of the avatar, that is,
+    whether u witnesses m in t^j M (at j = 0 it always does).  Computed
+    once per `memo_scope`; `avatar` is D.avatar()."""
+    return memoised(("decay_memberships", D, avatar), _decay_memberships,
+                    D, avatar)
+
+
+def _decay_memberships(D: DecayModule, avatar: FPModule):
+    t = D.t()
+    m = D.element_m()
+    rb = avatar.relations_basis()
+    rows = []
+    for j in range(min(D.support, D.precision)):
+        u = tuple(t ** (c - j) if i >= j else D.ring.zero()
+                  for i, c in enumerate(D.exponents))
+        power = t ** j
+        finite = tuple(a - power * e for a, e in zip(m, u))
+        rows.append((j, u, j == 0 or rb.contains(finite)))
+    return tuple(rows)
+
+
 def _decay_separated(D: DecayModule, avatar: FPModule,
                      budgets: Budgets) -> Verdict:
     """Separatedness of D along (t), read on its avatar."""
@@ -483,19 +506,9 @@ def _decay_separated(D: DecayModule, avatar: FPModule,
     if decay_kernel(D)[1] is not None:
         return verdicts.unknown(budget)
     # membership witnesses: m in t^j M for every j < min(support, precision)
-    t = D.t()
-    rb = avatar.relations_basis()
-    memberships = []
-    for j in range(1, min(D.support, D.precision)):
-        u = [D.ring.zero()] * D.support
-        for i in range(j, D.support):
-            u[i] = t ** (D.exponents[i] - j)
-        power = t ** j
-        finite_part = tuple(a - power * e for a, e in zip(m, u))
-        if not rb.contains(finite_part):
-            return verdicts.unknown(budget)
-        memberships.append(j)
-    if not memberships:
+    rows = decay_memberships(D, avatar)
+    memberships = [j for j, _, _ in rows if j]
+    if not memberships or not all(member for _, _, member in rows):
         return verdicts.unknown(budget)
     return verdicts.fails({
         "kind": "decaying_sum_element",
@@ -541,7 +554,6 @@ def build_example1(support: int, precision: int,
         raise BudgetExceeded("support and precision must both be at least 2")
     ring = ring_power_series(ring_rationals(), "t", precision)
     D = DecayModule(ring, support, tuple(range(support)))
-    t = ring.variable("t")
     F = free_module(ring, support)
     delta = D.diagonal_hom()
     P = BoundedComplex(ring, {-1: F, 0: F}, {-1: delta}, check=False)
@@ -549,28 +561,14 @@ def build_example1(support: int, precision: int,
     m = D.element_m()
     report = {}
     report["separated"] = _decay_separated(D, avatar, budgets)
-    # power memberships, re-checked independently of the separatedness run
-    memberships = []
-    witnesses = []
-    ok_all = True
-    rb = avatar.relations_basis()
-    for j in range(0, min(precision, support)):
-        u = [ring.zero()] * support
-        for i in range(j, support):
-            u[i] = t ** (i - j)
-        shifted = tuple((t ** j) * e for e in u)
-        finite = tuple(a - b for a, b in zip(m, shifted))
-        ok = rb.contains(finite) if j else True
-        ok_all = ok_all and ok
-        if ok:
-            memberships.append(j)
-            witnesses.append(vec_strs(u))
-    if ok_all and memberships:
+    rows = decay_memberships(D, avatar)
+    if all(member for _, _, member in rows):
         report["power_memberships"] = verdicts.holds({
             "kind": "ideal_power_memberships",
             "element": vec_strs(m),
-            "powers": memberships,
-            "witness_cofactors": witnesses}, budgets.as_dict())
+            "powers": [j for j, _, _ in rows],
+            "witness_cofactors": [vec_strs(u) for _, u, _ in rows]},
+            budgets.as_dict())
     else:
         report["power_memberships"] = verdicts.unknown(budgets.as_dict())
     report["quasi_isomorphism"] = _example1_quasi_iso(D, P, avatar, budgets)

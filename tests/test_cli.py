@@ -391,6 +391,12 @@ def test_malformed_numeric_field_is_parse_error(tmp_path, capsys, data,
                route="both"),
      "$.tasks[0].route: expected one of auto, tower, telescope, "
      "joint_chain"),
+    # lim_tower rejects the field its kind does not read
+    (_z12_task(command="lim_tower", kind="multiplication", element="2",
+               ideal="a"),
+     "$.tasks[0]: unknown fields ['ideal']"),
+    (_z12_task(command="lim_tower", ideal="a", element="2"),
+     "$.tasks[0]: unknown fields ['element']"),
 ])
 def test_unknown_choice_or_missing_field_is_parse_error(tmp_path, capsys,
                                                         data, position):
@@ -733,7 +739,7 @@ PINNED_SHA256 = {
     "lemma5":
         "80a663553e71707b589e7753fcc63caa9bf70d6f1cbec0a3439c972ef3a842b2",
     "theorem3":
-        "97a6f319e4b4f490f9c084c7b42a42a192932fb86cfab59213ddf93e0c560041",
+        "ff5ca2a71b2a7e5584f1cdd84a6b0e83a6e0cd5bd29df4c14463803f1a7fac4e",
     "theorem2":
         "61ddb4a74116cbf3a76132d39bd1e4d9daa7c3beb8798de9fa399df5307037c1",
     "lemma1":
@@ -825,7 +831,7 @@ def _all_commands_instance():
 # The machine report of `_all_commands_instance`, hashed, as the pinned
 # corpus above: it pins the report of every command, route and tower kind.
 ALL_COMMANDS_SHA256 = \
-    "cad24f5edce579e2256c0cc54cca29c6292462b2470d5cb48ae77f299227d4c8"
+    "85f762a3747129f0f876838fe3e45b2a12f0bddd09812ea7bf36ad24bf046a88"
 
 
 def test_machine_report_of_every_command_is_pinned():

@@ -153,9 +153,9 @@ def test_cc_joint_chain_not_separated_on_a_strict_chain():
     assert sep.fails()
     v = is_cohomologically_complete(M, [two], B, route="joint_chain")
     assert v.fails()
-    assert v.witness == {"kind": "stable_divisible_tail",
+    assert v.witness == {"kind": "completion_kernel",
                          "element": sep.witness["element"],
-                         "obstruction_degree": 0}
+                         "note": "intersection of the chain is nonzero"}
 
 
 def _counting(monkeypatch, name):

@@ -44,3 +44,19 @@ def test_adic_and_derived_decide_presentations_only():
     # the deciders take modules and complexes as presented
     for name in ("adic.py", "derived.py"):
         assert "DecayModule" not in (SRC / name).read_text(encoding="utf-8")
+
+
+def test_only_adic_reads_the_chain_profile():
+    # the deciders in `adic` are the one reader of the chain analysis;
+    # elsewhere only the independent routes that tests compare may load it
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "adic.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if ("chain_profile" in _loads(node)
+                    and getattr(node, "name", None) not in TEST_ONLY):
+                readers.append(f"{path.name}:{getattr(node, 'name', '?')}")
+    assert not readers, "chain_profile read outside adic: " + ", ".join(
+        readers)

@@ -659,6 +659,22 @@ def test_memoised_chain_profiles_equal_fresh_ones(case):
                     assert getattr(got, f.name) == getattr(want, f.name)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_modules_and_ideals())
+def test_separated_with_nonvanishing_ext1_is_not_complete(case):
+    # Schenzel's criterion refutes completeness of a separated module with
+    # a generator whose localization Ext^1 is nonzero; `is_complete`
+    # decides from the chain alone and must reach the same refutation
+    mods, ideals = case
+    for M in mods:
+        for gens in ideals:
+            if not is_separated(M, gens, B).holds():
+                continue
+            if any(ext1_vanishing_tower(M, a, B).fails()
+                   for a in gens if not a.is_zero()):
+                assert is_complete(M, gens, B).fails()
+
+
 _FACT_RINGS = [ZZ, QQ, ring_prime_field(5), ring_polynomial(QQ, ("x", "y")),
                ring_polynomial(ring_prime_field(5), ("x", "y")),
                ring_power_series(QQ, "t", 8),
