@@ -898,3 +898,30 @@ def test_machine_reports_with_rational_coefficients_are_pinned():
         assert rep["exit_status"] == EXIT_OK
         digest.update(emit_report(rep, "machine").encode())
     assert digest.hexdigest() == RATIONAL_SHA256
+
+
+def _ladder_instances():
+    """The anomalous example at support = precision 6 and 8 over QQ[[t]]:
+    the larger rungs of the benchmark's ladder, whose wide, sparse
+    presentations the all-commands instance (support 4) does not reach."""
+    return [{"ring": {"kind": "truncated_power_series",
+                      "base": {"kind": "rationals"}, "var": "t",
+                      "precision": n},
+             "tasks": [{"command": "build_example1", "support": n,
+                        "precision": n}]}
+            for n in (6, 8)]
+
+
+# The machine reports of `_ladder_instances`, hashed, as the pinned corpus
+# above.
+LADDER_SHA256 = \
+    "34b2186230e9f3a754b170baa8440e8d8c489a0ffb1a388a0369a93f4920bd51"
+
+
+def test_machine_reports_of_the_larger_ladder_rungs_are_pinned():
+    digest = hashlib.sha256()
+    for data in _ladder_instances():
+        rep = run_instance(data)
+        assert rep["exit_status"] == EXIT_OK
+        digest.update(emit_report(rep, "machine").encode())
+    assert digest.hexdigest() == LADDER_SHA256
