@@ -23,6 +23,11 @@ kept next to it (`leads`).  Reducers are found through an index of leading
 terms bucketed by position: completion grows one index as it appends rows,
 canonicalization builds one over the rows it keeps, and the finished basis
 builds one (`index`) that every normal form and witness query reuses.
+Pairs and minimalization read the same kind of position buckets: a pair
+joins two rows whose leads share a position, and a lead is redundant only
+when a lead at its own position divides it, so neither looks at the rows
+of other positions.  Completion queues the same pairs in the same heap
+order as a scan over every earlier row would.
 
 The engine works on raw term dicts {(position, exponents): scalar} so that
 it stays independent of the ring layer.
@@ -30,28 +35,30 @@ it stays independent of the ring layer.
 from __future__ import annotations
 
 import heapq
+from operator import add, le, sub
 
 
 def exps_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exps_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exps_divides(a, b):
     """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _scale_shift(row: dict, coeff, mono, domain) -> dict:
     """coeff * x^mono * row."""
     out = {}
+    mul = domain.mul
     for (pos, e), c in row.items():
-        v = domain.mul(c, coeff)
+        v = mul(c, coeff)
         if v:
-            out[(pos, tuple(a + b for a, b in zip(e, mono)))] = v
+            out[(pos, tuple(map(add, e, mono)))] = v
     return out
 
 
@@ -169,31 +176,29 @@ class ModuleBasis:
     def _saturate(self, rows):
         """(rows, leading terms) of a Groebner basis of the span of rows."""
         dom = self.domain
+        mono_key = self.mono_key
         basis, leads, index = [], [], {}
+        heap: list = []
+        members: dict = {}  # position -> (basis index, lead exponents)
 
         def append(row):
+            """Add row to the basis and queue its pair with every earlier
+            row whose lead lies at the same position."""
             lead = self._lt(row)
+            (pk, ek), _ = lead
+            k = len(basis)
             basis.append(row)
             leads.append(lead)
             _index_row(index, lead, row)
+            bucket = members.setdefault(pk, [])
+            for i, ei in bucket:
+                heapq.heappush(heap, (mono_key(exps_lcm(ei, ek)), pk, i, k))
+            bucket.append((k, ek))
 
         for r in rows:
             nf = self._reduce(r, index)
             if nf:
                 append(nf)
-        heap: list = []
-
-        def push_pairs(k):
-            (pk, ek), _ = leads[k]
-            for i in range(k):
-                (pi, ei), _ = leads[i]
-                if pi != pk:
-                    continue
-                lcm = exps_lcm(ei, ek)
-                heapq.heappush(heap, (self.mono_key(lcm), pk, i, k))
-
-        for k in range(len(basis)):
-            push_pairs(k)
         while heap:
             _, _, i, j = heapq.heappop(heap)
             f, g = basis[i], basis[j]
@@ -224,10 +229,8 @@ class ModuleBasis:
                     candidates.append(t)
             for cand in candidates:
                 nf = self._reduce(cand, index)
-                if not nf:
-                    continue
-                append(nf)
-                push_pairs(len(basis) - 1)
+                if nf:
+                    append(nf)
         return basis, leads
 
     # -- canonical form ----------------------------------------------------------
@@ -243,13 +246,14 @@ class ModuleBasis:
                        key=lambda i: self._term_key(leads[i][0]))
         rows = [rows[i] for i in order]
         leads = [leads[i] for i in order]
+        members: dict = {}  # position -> (row index, exponents, coefficient)
+        for idx, ((pos, e), c) in enumerate(leads):
+            members.setdefault(pos, []).append((idx, e, c))
         keep = []
         for idx, ((pos, e), c) in enumerate(leads):
             redundant = False
-            for jdx, ((pos2, e2), c2) in enumerate(leads):
-                if jdx == idx:
-                    continue
-                if pos2 != pos or not exps_divides(e2, e):
+            for jdx, e2, c2 in members[pos]:
+                if jdx == idx or not exps_divides(e2, e):
                     continue
                 q, rem = dom.divstep(c, c2)
                 if rem:

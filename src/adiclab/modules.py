@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from .errors import ParentMismatch, UnsupportedRing
 from .groebner import ModuleBasis
-from .rings import INTEGERS, POLYNOMIAL, RingElem, RingSpec, element_to_str
+from .rings import (INTEGERS, POLYNOMIAL, POWER_SERIES, RingElem, RingSpec,
+                    element_to_str)
 from .smith import invariant_factors
 
 
@@ -55,18 +56,27 @@ def euclidean_capable(ring: RingSpec) -> bool:
 def _vec_to_dict(vec) -> dict:
     out = {}
     for pos, e in enumerate(vec):
-        for exps, c in e.terms.items():
-            out[(pos, exps)] = c
+        if e.terms:
+            for exps, c in e.terms.items():
+                out[(pos, exps)] = c
     return out
 
 
-def _dict_to_vec(d: dict, ambient: int, ring: RingSpec):
-    cols = [{} for _ in range(ambient)]
+def _dict_to_vec(d: dict, ambient: int, ring: RingSpec,
+                 normalized: bool = False):
+    """The vector of the leading-block terms of d; `normalized` when they
+    are already canonical in the ring (see `RingElem`)."""
+    cols: dict = {}
     for (pos, exps), c in d.items():
         if pos < ambient:
-            cols[pos][exps] = c
-    z = ring.zero()
-    return tuple(RingElem(ring, col) if col else z for col in cols)
+            col = cols.get(pos)
+            if col is None:
+                col = cols[pos] = {}
+            col[exps] = c
+    vec = [ring.zero()] * ambient
+    for pos, col in cols.items():
+        vec[pos] = RingElem(ring, col, _normalized=normalized)
+    return tuple(vec)
 
 
 def zero_vector(ring: RingSpec, ambient: int):
@@ -80,7 +90,7 @@ def unit_vector(ring: RingSpec, ambient: int, i: int):
 
 
 def vec_is_zero(v) -> bool:
-    return all(a.is_zero() for a in v)
+    return not any(a.terms for a in v)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +105,7 @@ def _engine_basis(ring: RingSpec, ambient: int, vectors, tags: int):
         if len(v) != ambient:
             raise ParentMismatch("generator rank mismatch")
         for e in v:
-            if e.ring != ring:
+            if e.ring is not ring and e.ring != ring:
                 raise ParentMismatch("generator entry outside the ring")
     # the work ring holds the same term dicts as the ring, so entries are
     # read directly instead of through work_rows
@@ -116,16 +126,26 @@ def _query_row(ring: RingSpec, ambient: int, vec) -> dict:
 
 
 class StdBasis:
-    """Canonical basis of a submodule, for membership and normal forms."""
+    """Canonical basis of a submodule, for membership and normal forms.
+
+    Reduced rows and normal forms are canonical in the ring as they come
+    out of the engine, so they become vectors without normalization (which
+    `RingElem` still runs over a quotient ring).  The one exception is a
+    power series ring's structural row t^N at a position, the only row
+    whose terms reach the precision: it is zero in the ring and is dropped
+    before conversion."""
 
     def __init__(self, ring: RingSpec, ambient_rank: int, gens):
         self.ring = ring
         self.ambient_rank = ambient_rank
         self._mb = _engine_basis(ring, ambient_rank, gens, tags=0)
+        rows = self._mb.generators()
+        if ring.kind == POWER_SERIES:
+            rows = [r for r in rows
+                    if all(e[0] < ring.precision for _, e in r)]
         self.generators = tuple(
-            v for v in (
-                _dict_to_vec(row, ambient_rank, ring)
-                for row in self._mb.generators())
+            v for v in (_dict_to_vec(row, ambient_rank, ring, normalized=True)
+                        for row in rows)
             if not vec_is_zero(v))
 
     def contains(self, vec) -> bool:
@@ -141,7 +161,7 @@ class StdBasis:
     def normal_form(self, vec):
         """Canonical representative of vec modulo the span."""
         nf = self._mb.normal_form(_query_row(self.ring, self.ambient_rank, vec))
-        return _dict_to_vec(nf, self.ambient_rank, self.ring)
+        return _dict_to_vec(nf, self.ambient_rank, self.ring, normalized=True)
 
 
 def std_basis(gens, ring: RingSpec, ambient_rank: int | None = None) -> StdBasis:
@@ -206,7 +226,7 @@ class FPModule:
             if len(r) != ambient_rank:
                 raise ParentMismatch("relation rank mismatch")
             for e in r:
-                if e.ring != ring:
+                if e.ring is not ring and e.ring != ring:
                     raise ParentMismatch("relation entry outside the ring")
             if not vec_is_zero(r):
                 rels.append(r)
@@ -325,7 +345,8 @@ class ModuleHom:
 
     def __init__(self, source: FPModule, target: FPModule, matrix,
                  check: bool = True):
-        if source.ring != target.ring:
+        ring = source.ring
+        if target.ring is not ring and target.ring != ring:
             raise ParentMismatch("hom between modules over different rings")
         matrix = tuple(tuple(row) for row in matrix)
         if len(matrix) != target.ambient_rank or any(
@@ -334,7 +355,7 @@ class ModuleHom:
                 f"hom matrix must be {target.ambient_rank} x {source.ambient_rank}")
         for row in matrix:
             for e in row:
-                if e.ring != source.ring:
+                if e.ring is not ring and e.ring != ring:
                     raise ParentMismatch("matrix entry outside the ring")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -350,13 +371,16 @@ class ModuleHom:
         raise AttributeError("ModuleHom is immutable")
 
     def apply(self, vec):
-        ring = self.source.ring
+        if len(vec) != self.source.ambient_rank:
+            raise ParentMismatch("vector rank mismatch")
+        entries = [(j, x) for j, x in enumerate(vec) if x.terms]
+        z = self.source.ring.zero()
         out = []
-        for i in range(self.target.ambient_rank):
-            acc = ring.zero()
-            for j, x in enumerate(vec):
-                m = self.matrix[i][j]
-                if not m.is_zero() and not x.is_zero():
+        for row in self.matrix:
+            acc = z
+            for j, x in entries:
+                m = row[j]
+                if m.terms:
                     acc = acc + m * x
             out.append(acc)
         return tuple(out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import add
 
 from .errors import DivisionByZero, InvalidRing, ParentMismatch, UnsupportedRing
 from .groebner import ModuleBasis
@@ -222,15 +223,16 @@ class RingSpec:
     kind is one of integers, rationals, prime_field, polynomial, quotient,
     truncated_power_series.  All supported rings are noetherian.
 
-    Four facts are computed once, at construction, and take no part in
+    Five facts are computed once, at construction, and take no part in
     equality or hashing: `domain`, the scalar domain of the coefficients;
     `work`, the ring the engine computes over (a power series ring lifts to
     its polynomial ring in lex order, a quotient to its ambient ring, any
     other ring to itself); `structural`, term dicts over `work` of the
     relations that lift forgets (t^N, or a quotient's ideal generators),
-    which kill every ambient coordinate; and `quotient_basis`, the tagless
+    which kill every ambient coordinate; `quotient_basis`, the tagless
     Groebner basis over a rank-one free module of a quotient's nonzero
-    ideal, None for any other ring.
+    ideal, None for any other ring; and `_zero`, the ring's one zero
+    element, which `zero()` returns.
     """
 
     kind: str
@@ -245,6 +247,7 @@ class RingSpec:
     work: "RingSpec" = field(init=False, compare=False, repr=False)
     structural: tuple = field(init=False, compare=False, repr=False)
     quotient_basis: object = field(init=False, compare=False, repr=False)
+    _zero: "RingElem" = field(init=False, compare=False, repr=False)
 
     def __eq__(self, other):
         # elements, modules and maps compare their rings on every operation,
@@ -256,6 +259,11 @@ class RingSpec:
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name)
                    for name in _COMPARED_FIELDS)
+
+    def __reduce__(self):
+        # rebuilt from the compared fields, so that the facts computed at
+        # construction, the zero element among them, are computed anew
+        return RingSpec, tuple(getattr(self, name) for name in _COMPARED_FIELDS)
 
     def __post_init__(self):
         kind = self.kind
@@ -283,6 +291,7 @@ class RingSpec:
         object.__setattr__(self, "work", work)
         object.__setattr__(self, "structural", structural)
         object.__setattr__(self, "quotient_basis", basis)
+        object.__setattr__(self, "_zero", RingElem(self, {}, _normalized=True))
 
     # -- structural helpers ------------------------------------------------
 
@@ -322,7 +331,7 @@ class RingSpec:
         return exps
 
     def zero(self) -> "RingElem":
-        return RingElem(self, {})
+        return self._zero
 
     def one(self) -> "RingElem":
         return RingElem(self, {(0,) * self.nvars: self.domain.one})
@@ -485,12 +494,22 @@ class RingElem:
 
     terms maps exponent tuples to nonzero scalars of the coefficient domain.
     Instances are immutable; all arithmetic returns new normalized elements.
+
+    Construction normalizes its terms unless the caller passes
+    `_normalized=True` for terms already in canonical form: the sums,
+    negations and products below (a product drops the power-series terms
+    past the precision as it forms them) and the leading-block rows that
+    `modules.StdBasis` reads off a reduced basis.  Over a quotient ring the
+    flag is ignored: canonical there means reduced modulo the ideal, which
+    sums and products of reduced terms need not be.  Each `RingSpec` holds
+    one zero element, which `zero()` returns.  Since elements share term
+    dicts, no code mutates `terms` in place.
     """
 
     __slots__ = ("ring", "terms", "_key")
 
     def __init__(self, ring: RingSpec, terms: dict, _normalized: bool = False):
-        if not _normalized:
+        if not _normalized or ring.kind == QUOTIENT:
             terms = _normalize_terms(ring, terms)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
@@ -562,7 +581,7 @@ class RingElem:
             if isinstance(other, int):
                 return self.ring.from_int(other)
             raise ParentMismatch(f"cannot combine {self!r} with {other!r}")
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ParentMismatch(f"elements of {self.ring!r} and {other.ring!r}")
         return other
 
@@ -576,14 +595,14 @@ class RingElem:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return RingElem(self.ring, out)
+        return RingElem(self.ring, out, _normalized=True)
 
     __radd__ = __add__
 
     def __neg__(self):
         dom = self.ring.domain
         return RingElem(self.ring, {e: dom.neg(c) for e, c in self.terms.items()},
-                        _normalized=self.ring.kind != QUOTIENT)
+                        _normalized=True)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -593,17 +612,21 @@ class RingElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        dom = self.ring.domain
+        ring = self.ring
+        dom = ring.domain
+        prec = ring.precision  # None unless a power series ring
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
+                if prec is not None and e[0] >= prec:
+                    continue
                 s = dom.add(out.get(e, dom.zero), dom.mul(c1, c2))
                 if not s:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return RingElem(self.ring, out)
+        return RingElem(ring, out, _normalized=True)
 
     __rmul__ = __mul__
 

@@ -60,3 +60,26 @@ def test_only_adic_reads_the_chain_profile():
                 readers.append(f"{path.name}:{getattr(node, 'name', '?')}")
     assert not readers, "chain_profile read outside adic: " + ", ".join(
         readers)
+
+
+def test_no_library_line_mutates_element_terms_in_place():
+    # ring elements share term dicts (each ring's one zero, and terms
+    # passed on without normalization), so no library line may change a
+    # `.terms` dict after construction
+    mutators = {"pop", "popitem", "update", "setdefault", "clear"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Subscript)
+                    and not isinstance(node.ctx, ast.Load)):
+                target = node.value
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in mutators):
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Attribute) and target.attr == "terms":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "in-place change of .terms: " + ", ".join(found)

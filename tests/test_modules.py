@@ -218,6 +218,15 @@ def test_hom_well_definedness_checked():
     ModuleHom(Z4, Z4, [[ZZ.from_int(3)]])  # fine: 4*3 = 12 in 4Z
 
 
+@pytest.mark.parametrize("vec", [(1,), (1, 1, 1)])
+def test_apply_rejects_a_vector_of_the_wrong_rank(vec):
+    # ZZ^2 -> ZZ; a short vector must not read its missing entries as zero
+    f = ModuleHom(free_module(ZZ, 2), free_module(ZZ, 1), [ints(ZZ, 1, 1)])
+    assert f.apply(ints(ZZ, 1, 1)) == ints(ZZ, 2)
+    with pytest.raises(ParentMismatch, match="vector rank mismatch"):
+        f.apply(ints(ZZ, *vec))
+
+
 def _random_module(rng, ring, max_rank=3):
     rank = rng.randrange(1, max_rank + 1)
     rels = []

@@ -15,10 +15,10 @@ from adiclab.adic import (Budgets, ChainProfile, chain_profile,
                           multiplication_tower, nilpotent_on_module)
 from adiclab.complexes import (BoundedComplex, ComplexMap, cohomology,
                                complex_from_module, hom_complex)
-from adiclab import derived, modules, verdicts
+from adiclab import derived, modules, rings, verdicts
 from adiclab.derived import ext_localization, is_cohomologically_complete
 from adiclab.groebner import ModuleBasis, exps_divides
-from adiclab.modules import (FPModule, ModuleHom, _dict_to_vec,
+from adiclab.modules import (FPModule, ModuleHom, StdBasis, _dict_to_vec,
                              _engine_basis, _query_row, _vec_to_dict,
                              coordinates, euclidean_capable,
                              free_module, hom_is_injective,
@@ -1133,3 +1133,152 @@ def test_rings_that_are_not_euclidean_capable_work_over_polynomials(ring):
         return
     assert ring.work.kind == "polynomial"
     assert nilpotent_on_module(ring.zero(), free_module(ring, 1)) is True
+
+
+_CANONICAL_RINGS = st.one_of(
+    _rings(), st.sampled_from([ring_power_series(QQ, "t", n)
+                               for n in (2, 4, 8)] + [ZT]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CANONICAL_RINGS, st.data())
+def test_unnormalized_constructions_equal_normalized_ones(ring, data):
+    """Sums, products and the rows `StdBasis` reads off a reduced basis
+    skip normalization; each equals the element built from its terms
+    through normalization, which only quotient rings still run."""
+    def element():
+        # power series exponents run past half the precision, so that
+        # products cross it
+        top = ring.precision if ring.precision is not None else 2
+        return RingElem(ring, data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, top) for _ in ring.vars]),
+            st.integers(-3, 3), max_size=3)))
+
+    def normalized(e):
+        return RingElem(ring, dict(e.terms))
+
+    assert ring.zero() is ring.zero()
+    assert ring.zero() == RingElem(ring, {})
+    npos = data.draw(st.integers(1, 2))
+    gens = [tuple(element() for _ in range(npos))
+            for _ in range(data.draw(st.integers(1, 2)))]
+    vec = tuple(element() for _ in range(npos))
+    a, b = element(), element()
+    quotient = ring.kind == "quotient"
+    with mock.patch.object(rings, "_normalize_terms",
+                           wraps=rings._normalize_terms) as spy:
+        built = [a + b, a * b]
+        assert spy.call_count == (2 if quotient else 0)
+        sb = StdBasis(ring, npos, gens)
+        entries = [e for v in (*sb.generators, sb.normal_form(vec))
+                   for e in v]
+        # a quotient's structural rows are always converted, and normalized
+        assert spy.called == quotient
+    for e in built + entries:
+        assert e == normalized(e)
+
+
+QT = ring_polynomial(QQ, ("t",), "lex")
+
+
+@st.composite
+def _bucket_cases(draw):
+    """Rows over the ladder's shape (QQ[t] with the structural rows t^N at
+    4-8 positions, the rest sparse), or over GF(5)[x,y] or ZZ[t] at one
+    position, where leads crowd one bucket; how many of the first rows are
+    tagged; a permutation of the untagged rows; and one of them to
+    repeat."""
+    shape = draw(st.sampled_from(["ladder", "gf5xy", "zzt"]))
+    if shape == "ladder":
+        ring, npos = QT, draw(st.integers(4, 8))
+    else:
+        ring = ring_polynomial(ring_prime_field(5), ("x", "y")) \
+            if shape == "gf5xy" else ZT
+        npos = 1
+
+    def element():
+        e = ring.zero()
+        for _ in range(draw(st.integers(0, 2))):
+            term = ring.from_int(draw(st.integers(-3, 3)))
+            for v in ring.vars:
+                term = term * ring.variable(v) ** draw(st.integers(0, 2))
+            e = e + term
+        return e
+
+    def vector():
+        # at most two nonzero coordinates, as in the ladder's presentations
+        vec = [ring.zero()] * npos
+        for i in draw(st.lists(st.integers(0, npos - 1), max_size=2)):
+            vec[i] = element()
+        return tuple(vec)
+
+    rows = [vector() for _ in range(draw(st.integers(1, 5)))]
+    if shape == "ladder":
+        n = draw(st.integers(2, 4))
+        t_n = ring.variable("t") ** n
+        rows += [tuple(t_n if j == i else ring.zero() for j in range(npos))
+                 for i in range(npos)]
+    tags = draw(st.integers(0, min(2, len(rows))))
+    order = draw(st.permutations(range(tags, len(rows))))
+    twin = draw(st.integers(tags, len(rows) - 1)) if tags < len(rows) else None
+    return ring, npos, rows, tags, order, twin
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bucket_cases())
+def test_position_buckets_cannot_change_a_basis(case):
+    """A reduced basis does not depend on how its span is written: the
+    untagged rows permuted, or one of them repeated, give the same rows
+    and leads; and the basis passes the checks that scan every pair of
+    rows, so reading pairs and leads by position drops none."""
+    ring, npos, rows, tags, order, twin = case
+    dicts = [_vec_to_dict(r) for r in rows]
+
+    def basis(rows):
+        return ModuleBasis(rows, npos=npos, nvars=ring.nvars,
+                           domain=ring.domain, mono_key=ring.mono_key,
+                           tags=tags)
+
+    mb = basis(dicts)
+    variants = [dicts[:tags] + [dicts[i] for i in order]]
+    if twin is not None:
+        variants.append(dicts + [dicts[twin]])
+    for rows in variants:
+        other = basis(rows)
+        assert (other.rows, other.leads) == (mb.rows, mb.leads)
+    _assert_reduced_groebner(mb)
+
+
+def _assert_reduced_groebner(mb):
+    """The slow path that scans every pair of rows: of two rows whose
+    leads share a position, neither lead strongly divides the other, and
+    (Buchberger's criterion) their S-polynomial, and over the integers
+    their G-polynomial too, reduce to zero."""
+    dom = mb.domain
+
+    def combo(a, e, row, b, f, other):
+        # a x^e row + b x^f other
+        out: dict = {}
+        for coeff, mono, r in ((a, e, row), (b, f, other)):
+            for (pos, x), c in r.items():
+                key = (pos, tuple(u + v for u, v in zip(x, mono)))
+                out[key] = dom.add(out.get(key, dom.zero), dom.mul(coeff, c))
+        return {k: c for k, c in out.items() if c}
+
+    pairs = itertools.combinations(zip(mb.leads, mb.rows), 2)
+    for (((p, e), c), row), (((q, f), d), other) in pairs:
+        if p != q:
+            continue
+        assert not (exps_divides(e, f) and not dom.divstep(d, c)[1])
+        assert not (exps_divides(f, e) and not dom.divstep(c, d)[1])
+        lcm = tuple(map(max, e, f))
+        me = tuple(u - v for u, v in zip(lcm, e))
+        mf = tuple(u - v for u, v in zip(lcm, f))
+        g, s, t = dom.gcdex(c, d) if not dom.is_field else (1, None, None)
+        lc = dom.divstep(dom.mul(c, d), g)[0]
+        polys = [combo(dom.divstep(lc, c)[0], me, row,
+                       dom.neg(dom.divstep(lc, d)[0]), mf, other)]
+        if s is not None:
+            polys.append(combo(s, me, row, t, mf, other))
+        for poly in polys:
+            assert mb._reduce(poly, mb.index) == {}

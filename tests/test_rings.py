@@ -1,5 +1,8 @@
-import pytest
+import copy
+import pickle
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -38,6 +41,14 @@ def test_make_ring_rejects_junk():
         make_ring({"kind": "integers", "oops": 1})
     with pytest.raises(InvalidRing):
         ring_polynomial(QQ, ("a", "b", "c", "d", "e"))
+
+
+@pytest.mark.parametrize("ring", [ZZ, ring_prime_field(5), QXY, KT3])
+def test_rings_copy_and_pickle_with_their_own_zero(ring):
+    # a ring holds its zero element, which refers back to the ring
+    for twin in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
+        assert twin == ring and twin.zero().ring is twin
+        assert twin.zero() == ring.zero()
 
 
 def test_elem_op_examples():
