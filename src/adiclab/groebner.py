@@ -29,6 +29,13 @@ when a lead at its own position divides it, so neither looks at the rows
 of other positions.  Completion queues the same pairs in the same heap
 order as a scan over every earlier row would.
 
+The reduced basis is canonical, so equal spans give equal rows: leads are
+minimal, each row's leading unit is normalized (monic over a field,
+positive over the integers) before its tail is reduced, and over the
+integers every reduction leaves a remainder in [0, |c|) for the reducing
+lead's coefficient c.  Normalizing after the reduction would move those
+remainders out of range again, and equal spans would differ by signs.
+
 The engine works on raw term dicts {(position, exponents): scalar} so that
 it stays independent of the ring layer.
 """
@@ -262,21 +269,23 @@ class ModuleBasis:
                 break
             if not redundant:
                 keep.append(idx)
-        # inter-reduce tails and normalize leading units; a row's own
-        # leading term divides none of its tail terms, so one index over
-        # every kept row serves each tail
+        # normalize leading units, then inter-reduce tails: over the
+        # integers a unit applied after the reduction would move remainders
+        # out of [0, |c|).  A row's own leading term divides none of its
+        # tail terms, so one index over every kept row serves each tail
         index = _build_index([leads[i] for i in keep], [rows[i] for i in keep])
         reduced = []
         for idx in keep:
             key, c = leads[idx]
             tail = dict(rows[idx])
             tail.pop(key)
-            row = self._reduce(tail, index)
-            row[key] = c
             u = dom.normalizer(c)
             if u != dom.one:
-                row = {k: dom.mul(v, u) for k, v in row.items()}
-            reduced.append((row, (key, row[key])))
+                c = dom.mul(c, u)
+                tail = {k: dom.mul(v, u) for k, v in tail.items()}
+            row = self._reduce(tail, index)
+            row[key] = c
+            reduced.append((row, (key, c)))
         reduced.sort(key=lambda p: self._term_key(p[1][0]), reverse=True)
         return [r for r, _ in reduced], [lead for _, lead in reduced]
 

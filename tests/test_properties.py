@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from adiclab import adic
 from adiclab.adic import (Budgets, ChainProfile, chain_profile,
@@ -1184,13 +1184,15 @@ QT = ring_polynomial(QQ, ("t",), "lex")
 @st.composite
 def _bucket_cases(draw):
     """Rows over the ladder's shape (QQ[t] with the structural rows t^N at
-    4-8 positions, the rest sparse), or over GF(5)[x,y] or ZZ[t] at one
-    position, where leads crowd one bucket; how many of the first rows are
-    tagged; a permutation of the untagged rows; and one of them to
-    repeat."""
-    shape = draw(st.sampled_from(["ladder", "gf5xy", "zzt"]))
+    4-8 positions, the rest sparse), over GF(5)[x,y] or ZZ[t] at one
+    position, where leads crowd one bucket, or over ZZ at 1-3 positions;
+    how many of the first rows are tagged; a permutation of the untagged
+    rows; one of them to repeat; and one of them to negate."""
+    shape = draw(st.sampled_from(["ladder", "gf5xy", "zzt", "zz"]))
     if shape == "ladder":
         ring, npos = QT, draw(st.integers(4, 8))
+    elif shape == "zz":
+        ring, npos = ZZ, draw(st.integers(1, 3))
     else:
         ring = ring_polynomial(ring_prime_field(5), ("x", "y")) \
             if shape == "gf5xy" else ZT
@@ -1221,17 +1223,25 @@ def _bucket_cases(draw):
     tags = draw(st.integers(0, min(2, len(rows))))
     order = draw(st.permutations(range(tags, len(rows))))
     twin = draw(st.integers(tags, len(rows) - 1)) if tags < len(rows) else None
-    return ring, npos, rows, tags, order, twin
+    flip = draw(st.integers(tags, len(rows) - 1)) if tags < len(rows) else None
+    return ring, npos, rows, tags, order, twin, flip
 
 
 @settings(max_examples=100, deadline=None)
 @given(_bucket_cases())
+# spans whose reduced bases once depended on the sign of a leading unit:
+# span{(-1, 1), (0, 2)} in ZZ^2, and span{1 - t, 2} in ZZ[t]
+@example((ZZ, 2, [(ZZ.from_int(-1), ZZ.one()), (ZZ.zero(), ZZ.from_int(2))],
+          0, [0, 1], 0, 0))
+@example((ZT, 1, [(ZT.one() - ZT.variable("t"),), (ZT.from_int(2),)],
+          0, [0, 1], 0, 0))
 def test_position_buckets_cannot_change_a_basis(case):
     """A reduced basis does not depend on how its span is written: the
-    untagged rows permuted, or one of them repeated, give the same rows
-    and leads; and the basis passes the checks that scan every pair of
-    rows, so reading pairs and leads by position drops none."""
-    ring, npos, rows, tags, order, twin = case
+    untagged rows permuted, one of them repeated, or one of them times -1
+    give the same rows and leads; and the basis passes the checks that
+    scan every pair of rows, so reading pairs and leads by position drops
+    none."""
+    ring, npos, rows, tags, order, twin, flip = case
     dicts = [_vec_to_dict(r) for r in rows]
 
     def basis(rows):
@@ -1243,6 +1253,8 @@ def test_position_buckets_cannot_change_a_basis(case):
     variants = [dicts[:tags] + [dicts[i] for i in order]]
     if twin is not None:
         variants.append(dicts + [dicts[twin]])
+        negated = _vec_to_dict(tuple(-e for e in rows[flip]))
+        variants.append(dicts[:flip] + [negated] + dicts[flip + 1:])
     for rows in variants:
         other = basis(rows)
         assert (other.rows, other.leads) == (mb.rows, mb.leads)

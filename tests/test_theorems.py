@@ -145,6 +145,18 @@ def test_lemma1_z3():
         "kind"] == "implication_vacuous"
 
 
+def test_lemma1_zz_t_with_a_negative_leading_unit():
+    # 1 - t leads with -1: once canonical bases scaled by that unit after
+    # reducing the tail, two equal spans had different bases and the
+    # telescope side gave up as unknown
+    ZT = ring_polynomial(ZZ, ("t",))
+    t = ZT.variable("t")
+    M = cyclic_module(ZT, ZT.from_int(2), t + ZT.one())
+    rep = check_lemma1(M, ZT.one() - t)
+    assert rep.left.holds() and rep.right.holds()
+    assert rep.consistent == CONSISTENT
+
+
 def test_lemma1_nilpotent():
     KT3 = ring_power_series(QQ, "t", 3)
     t = KT3.variable("t")
