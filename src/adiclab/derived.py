@@ -5,11 +5,14 @@ The telescope at stage N for a single element a is the two-term free
 complex on delta_0..delta_N in degrees 0 and 1 with differential
 d(delta_i) = delta_(i-1) - a*delta_i (reading delta_(-1) = 0); its plus
 part, the only part the Ext analysis reads and so the only one built,
-omits delta_0 in degree 0.  These satisfy the executable identities
-everything downstream relies on: Hom into a module M has stage cohomology
-M/a^(N+1)M in degree 0 and the a^(N+1)-annihilator in degree -1, the stage
-towers realize the completion and multiplication towers, and the stage
-restriction on the plus-part H^0 acts as multiplication by a.
+omits delta_0 in degree 0.  Hom of the full stage into a module M has
+cohomology M/a^(N+1)M in degree 0 and the a^(N+1)-annihilator in degree
+-1, and the stage towers realize the completion and multiplication towers.
+Of the plus part the Ext analysis reads only the degree-0 cohomology of
+Hom(plus[1], M) at two consecutive stages.  The identities that make that
+enough are theorems over every ring, so the tests check them and the
+decision path does not: the degree-1 cohomology vanishes, and the stage
+restriction acts on the degree-0 cohomology as multiplication by a.
 Cohomological completeness along a = (a_1..a_n) is decided one generator
 at a time, so only single-element stages are built.  The "joint_chain"
 route decides the whole ideal at once by `adic.is_complete` instead: for a
@@ -27,8 +30,7 @@ from dataclasses import dataclass, field
 from .adic import (Budgets, DEFAULT_BUDGETS, chain_profile,
                    ext0_vanishing_tower, ext1_vanishing_tower, is_complete,
                    is_separated, memo_scope, memoised, vec_strs)
-from .complexes import (BoundedComplex, ComplexMap, cohomology,
-                        hom_complex_map, induced_cohomology_map,
+from .complexes import (BoundedComplex, cohomology, hom_complex,
                         shift_complex)
 from .errors import BudgetExceeded
 from .modules import (FPModule, ModuleHom, free_module, kernel_hom,
@@ -60,11 +62,6 @@ def telescope_stage(a: RingElem, N: int) -> BoundedComplex:
     return BoundedComplex(ring, {0: P0, 1: P1}, {0: d}, check=False)
 
 
-def shift_complex_map(phi: ComplexMap, k: int) -> ComplexMap:
-    return ComplexMap(shift_complex(phi.source, k), shift_complex(phi.target, k),
-                      {j - k: f for j, f in phi.components.items()})
-
-
 # ---------------------------------------------------------------------------
 # localization Ext
 
@@ -72,7 +69,13 @@ def shift_complex_map(phi: ComplexMap, k: int) -> ComplexMap:
 @dataclass(frozen=True)
 class ExtApprox:
     """Stagewise approximation of a localization Ext group plus the
-    vanishing verdict and route cross-checks."""
+    vanishing verdict and route cross-checks.
+
+    `stages` maps a stage to its value: on the telescope routes the
+    degree-0 cohomology of Hom(plus(n)[1], M) at the two stages analysed,
+    on route "tower" M itself at each window index.  `details` records the
+    telescope stage used ("stage") and, on route "both", whether the last
+    stage value is isomorphic to M ("stage_value_matches_module")."""
     stages: dict
     vanishing: Verdict
     agreement: bool | None = None
@@ -80,52 +83,22 @@ class ExtApprox:
 
 
 def _telescope_ext(a: RingElem, M: FPModule, budgets: Budgets):
-    """Telescope-route Ext analysis, the same for both indices: materialize
-    two consecutive stage cohomologies and verify the multiplication
-    pattern of the restriction.  Returns the stage values, the stage-N H^0
-    presentation P on which `ext_localization` runs the chain analysis (None
-    when the pattern is unverified), and the details of the checks.
+    """Telescope-route Ext analysis, the same for both indices: the degree-0
+    cohomologies of Hom(plus(n)[1], M) for n = N, N + 1.  Returns N and the
+    stage values; `ext_localization` runs the chain analysis on the stage-N
+    value.  The identities the route rests on hold over every ring and are
+    checked by the property test, not here: H^1 of each stage Hom vanishes,
+    since (m_i) -> (m_(i-1) - a*m_i) is onto M^n, and the restriction from
+    stage N + 1 to stage N acts on H^0 as multiplication by a.
 
     The materialized stage is capped so the Hom complexes stay at desk
     scale for wide modules; the stage used is recorded."""
     N = max(2, min(budgets.stages, 24 // max(1, M.ambient_rank)))
-    ring = M.ring
-    # stage inclusion of plus parts: delta_i -> delta_i in both degrees
-    Ps = telescope_stage(a, N)
-    Pt = telescope_stage(a, N + 1)
-    z = ring.zero()
-    e0 = [[ring.one() if i == c else z for c in range(N)]
-          for i in range(N + 1)]
-    e1 = [[ring.one() if i == c else z for c in range(N + 1)]
-          for i in range(N + 2)]
-    incl = ComplexMap(Ps, Pt, {
-        0: ModuleHom(Ps.entry(0), Pt.entry(0), e0, check=False),
-        1: ModuleHom(Ps.entry(1), Pt.entry(1), e1, check=False)})
-    # restriction Hom(plus(N+1)[1], M) -> Hom(plus(N)[1], M); its source
-    # and target are the two stage Hom complexes
-    restr = hom_complex_map(shift_complex_map(incl, 1), M)
-    HN, HN1 = restr.target, restr.source
-    rho = induced_cohomology_map(restr, 0)
-    P = rho.target  # stage-N H^0 presentation
-    stage_vals = {N: rho.target, N + 1: rho.source}
-    details = {"stage": N}
-    # cohomology support check: degree 1 must vanish at every stage
-    support_ok = cohomology(HN, 1).is_zero() and cohomology(HN1, 1).is_zero()
-    details["plus_support_in_01"] = support_ok
-    # pattern: image of the restriction equals a * (stage H^0)
-    a_cols = [tuple(a if i == t else ring.zero() for i in range(P.ambient_rank))
-              for t in range(P.ambient_rank)]
-    rho_cols = [rho.column(t) for t in range(rho.source.ambient_rank)]
-    # both spans hold the relations, so they agree iff their canonical
-    # bases do
-    pattern = (std_basis(a_cols + list(P.relations), ring,
-                         ambient_rank=P.ambient_rank).generators
-               == std_basis(rho_cols + list(P.relations), ring,
-                            ambient_rank=P.ambient_rank).generators)
-    details["restriction_is_multiplication"] = pattern
-    if not (support_ok and pattern):
-        return stage_vals, None, details
-    return stage_vals, P, details
+    stage_vals = {}
+    for n in (N, N + 1):
+        H = hom_complex(shift_complex(telescope_stage(a, n), 1), M)
+        stage_vals[n] = cohomology(H, 0)
+    return N, stage_vals
 
 
 def ext_localization(index: int, a: RingElem, M: FPModule,
@@ -145,32 +118,19 @@ def ext_localization(index: int, a: RingElem, M: FPModule,
         raise BudgetExceeded("only indices 0 and 1 are meaningful here")
     if route not in ("both", "tower", "telescope"):
         raise BudgetExceeded(f"unknown route {route!r}")
-    budget = budgets.as_dict()
-
-    def tower_verdict():
-        if index == 0:
-            return ext0_vanishing_tower(M, a, budgets)
-        return ext1_vanishing_tower(M, a, budgets)
-
+    vanishing = ext0_vanishing_tower if index == 0 else ext1_vanishing_tower
     if route == "tower":
-        v = tower_verdict()
         stages = {k: M for k in range(budgets.stab_window)}
-        return ExtApprox(stages, v)
+        return ExtApprox(stages, vanishing(M, a, budgets))
 
     key = (a, M, M.grading, budgets)
-    stage_vals, P, details = memoised(("telescope_ext", *key),
-                                      _telescope_ext, a, M, budgets)
-    stage_vals, details = dict(stage_vals), dict(details)
-    if P is None:
-        tele = verdicts.unknown({**budget, "reason": "stage pattern unverified"})
-    else:
-        if index == 0:
-            tele = ext0_vanishing_tower(P, a, budgets)
-        else:
-            tele = ext1_vanishing_tower(P, a, budgets)
+    N, stage_vals = memoised(("telescope_ext", *key), _telescope_ext, a, M,
+                             budgets)
+    stage_vals, details = dict(stage_vals), {"stage": N}
+    tele = vanishing(stage_vals[N], a, budgets)
     if route == "telescope":
         return ExtApprox(stage_vals, tele, details=details)
-    tow = tower_verdict()
+    tow = vanishing(M, a, budgets)
     agreement = None
     if tele.decisive and tow.decisive:
         agreement = tele.status == tow.status
@@ -219,6 +179,10 @@ def is_cohomologically_complete(M, gens, budgets: Budgets = DEFAULT_BUDGETS,
     whole ideal with `adic.is_complete`, which for a finitely generated
     module over a noetherian ring is cohomological completeness (for a
     complex, of each nonzero cohomology)."""
+    ext_routes = {"auto": "both", "tower": "tower", "telescope": "telescope",
+                  "joint_chain": None}
+    if route not in ext_routes:
+        raise BudgetExceeded(f"unknown route {route!r}")
     gens = [g for g in gens if not g.is_zero()]
     budget = budgets.as_dict()
     if isinstance(M, BoundedComplex):
@@ -246,10 +210,7 @@ def is_cohomologically_complete(M, gens, budgets: Budgets = DEFAULT_BUDGETS,
         return verdicts.holds({"kind": "zero_ideal"}, budget)
     if route == "joint_chain":
         return is_complete(M, gens, budgets)
-    ext_route = {"auto": "both", "tower": "tower",
-                 "telescope": "telescope"}.get(route)
-    if ext_route is None:
-        raise BudgetExceeded(f"unknown route {route!r}")
+    ext_route = ext_routes[route]
     named = {}
     for a in gens:
         named[element_to_str(a)] = _principal_cc(M, a, budgets, ext_route)

@@ -1,8 +1,12 @@
+import sys
+
 import pytest
 
 from adiclab import derived
 from adiclab.adic import Budgets, is_separated, memo_scope
-from adiclab.complexes import cohomology, hom_complex, shift_complex
+from adiclab.complexes import (cohomology, complex_from_module, hom_complex,
+                               shift_complex, zero_complex)
+from adiclab.errors import BudgetExceeded
 from adiclab.derived import (ext_localization, is_cohomologically_complete,
                              koszul_route_cc, telescope_stage)
 from adiclab.modules import (FPModule, free_module, modules_isomorphic,
@@ -144,6 +148,17 @@ def test_cc_joint_chain_route():
     assert v2.fails()
 
 
+@pytest.mark.parametrize("M, gens", [
+    (free_module(ZZ, 1), [ZZ.zero()]),              # zero ideal
+    (zero_complex(ZZ), [ZZ.from_int(2)]),           # exact complex
+    (complex_from_module(free_module(ZZ, 1)), []),  # both
+    (free_module(ZZ, 1), [ZZ.from_int(2)]),
+])
+def test_cc_rejects_an_unknown_route_before_any_answer(M, gens):
+    with pytest.raises(BudgetExceeded, match="unknown route"):
+        is_cohomologically_complete(M, gens, B, route="bogus")
+
+
 def test_cc_joint_chain_not_separated_on_a_strict_chain():
     # ZZ + ZZ/5 with a = 2: the free summand makes 2^k M descend forever,
     # and the ZZ/5 summand lies in every 2^k M
@@ -188,6 +203,27 @@ def test_cc_runs_each_telescope_analysis_once(monkeypatch):
     assert both.details["stage_value_matches_module"] is True
     assert "stage_value_matches_module" not in tele.details
     assert len(stages) == 4 and len(isos) == 2
+
+
+def test_a_telescope_analysis_reads_degree_0_cohomology_only():
+    # the identities behind the stage values are checked by the property
+    # tests, so the decision path computes no induced map and no degree-1
+    # cohomology
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in (
+                "induced_cohomology_map", "cohomology_data"):
+            calls.append((frame.f_code.co_name, frame.f_locals.get("j")))
+
+    M, two = cyclic_module(ZZ, ZZ.from_int(12)), ZZ.from_int(2)
+    sys.setprofile(profile)
+    try:
+        with memo_scope():
+            ext_localization(0, two, M, B, route="telescope")
+    finally:
+        sys.setprofile(None)
+    assert calls == [("cohomology_data", 0)] * 2
 
 
 @pytest.mark.parametrize("rows, a, status", [
