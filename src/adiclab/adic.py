@@ -353,6 +353,8 @@ class Tower:
     def __post_init__(self):
         if self.kind not in ("quotient", "multiplication"):
             raise ValueError(f"unknown tower kind {self.kind!r}")
+        if self.depth < 0:
+            raise BudgetExceeded(f"negative tower depth {self.depth}")
 
     def stage(self, k: int) -> FPModule:
         if k < 0:

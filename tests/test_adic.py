@@ -39,6 +39,19 @@ def test_completion_tower_zz():
         T.stage(4)
 
 
+@pytest.mark.parametrize("make", [
+    lambda M: completion_tower(M, [ZZ.from_int(2)], depth=-2),
+    lambda M: multiplication_tower(M, ZZ.from_int(2), -1),
+])
+def test_towers_reject_a_negative_depth(make):
+    # a negative depth once built a tower whose stage(0) raised while its
+    # stabilization still answered (2, chain_iteration)
+    M = cyclic_module(ZZ, ZZ.from_int(4))
+    with pytest.raises(BudgetExceeded, match="negative tower depth"):
+        make(M)
+    assert completion_tower(M, [ZZ.from_int(2)], depth=0).stage(0).is_zero()
+
+
 def test_completion_tower_z12():
     M = cyclic_module(ZZ, ZZ.from_int(12))
     T = completion_tower(M, [ZZ.from_int(2)], depth=6)

@@ -714,6 +714,17 @@ def test_round_trip_keeps_grading():
         parse_instance(_graded_instance(None)))["modules"]["M"]
 
 
+def test_negative_tower_depth_is_a_task_error(tmp_path, capsys):
+    f = tmp_path / "neg.json"
+    f.write_text(json.dumps(_z12_task(command="completion_tower", ideal="a",
+                                      depth=-2)), encoding="utf-8")
+    code = main(["run", str(f), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "task 0: negative tower depth -2" in captured.err
+
+
 def test_no_memo_scope_after_run_instance():
     run_instance(z12_instance())
     assert adic._MEMO.get() is None
