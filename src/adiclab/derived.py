@@ -9,10 +9,8 @@ omits delta_0 in degree 0.  Hom of the full stage into a module M has
 cohomology M/a^(N+1)M in degree 0 and the a^(N+1)-annihilator in degree
 -1, and the stage towers realize the completion and multiplication towers.
 Of the plus part the Ext analysis reads only the degree-0 cohomology of
-Hom(plus[1], M) at two consecutive stages.  The identities that make that
-enough are theorems over every ring, so the tests check them and the
-decision path does not: the degree-1 cohomology vanishes, and the stage
-restriction acts on the degree-0 cohomology as multiplication by a.
+Hom(plus[1], M) at two consecutive stages; `_telescope_ext` names the
+identities that make that enough, which the tests check.
 Cohomological completeness along a = (a_1..a_n) is decided one generator
 at a time, so only single-element stages are built.  The "joint_chain"
 route decides the whole ideal at once by `adic.is_complete` instead: for a

@@ -269,10 +269,10 @@ class ModuleBasis:
                 break
             if not redundant:
                 keep.append(idx)
-        # normalize leading units, then inter-reduce tails: over the
-        # integers a unit applied after the reduction would move remainders
-        # out of [0, |c|).  A row's own leading term divides none of its
-        # tail terms, so one index over every kept row serves each tail
+        # normalize leading units, then inter-reduce tails (the other order
+        # is not canonical over the integers); a row's own leading term
+        # divides none of its tail terms, so one index over every kept row
+        # serves each tail
         index = _build_index([leads[i] for i in keep], [rows[i] for i in keep])
         reduced = []
         for idx in keep:
