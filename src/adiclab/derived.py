@@ -10,7 +10,11 @@ cohomology M/a^(N+1)M in degree 0 and the a^(N+1)-annihilator in degree
 -1, and the stage towers realize the completion and multiplication towers.
 Of the plus part the Ext analysis reads only the degree-0 cohomology of
 Hom(plus[1], M) at two consecutive stages; `_telescope_ext` names the
-identities that make that enough, which the tests check.
+identities that make that enough, which the tests check.  Each such H^0 is
+isomorphic to M but comes presented on every kernel generator found, so
+the route builds its Hom complexes over a pruned presentation of M and
+prunes each H^0 (`modules.pruned_presentation` drops one generator per
+relation with a unit entry); the stage N is still read from M as given.
 Cohomological completeness along a = (a_1..a_n) is decided one generator
 at a time, so only single-element stages are built.  The "joint_chain"
 route decides the whole ideal at once by `adic.is_complete` instead: for a
@@ -32,7 +36,7 @@ from .complexes import (BoundedComplex, cohomology, hom_complex,
                         shift_complex)
 from .errors import BudgetExceeded
 from .modules import (FPModule, ModuleHom, free_module, kernel_hom,
-                      modules_isomorphic, std_basis)
+                      modules_isomorphic, pruned_presentation, std_basis)
 from .rings import RingElem, element_to_str
 from . import verdicts
 from .verdicts import Verdict
@@ -69,11 +73,12 @@ class ExtApprox:
     """Stagewise approximation of a localization Ext group plus the
     vanishing verdict and route cross-checks.
 
-    `stages` maps a stage to its value: on the telescope routes the
-    degree-0 cohomology of Hom(plus(n)[1], M) at the two stages analysed,
-    on route "tower" M itself at each window index.  `details` records the
-    telescope stage used ("stage") and, on route "both", whether the last
-    stage value is isomorphic to M ("stage_value_matches_module")."""
+    `stages` maps a stage to its value: on the telescope routes the pruned
+    presentation of the degree-0 cohomology of Hom(plus(n)[1], M) at the
+    two stages analysed, on route "tower" M itself at each window index.
+    `details` records the telescope stage used ("stage", read from M as
+    given) and, on route "both", whether the last stage value is
+    isomorphic to M ("stage_value_matches_module")."""
     stages: dict
     vanishing: Verdict
     agreement: bool | None = None
@@ -89,13 +94,20 @@ def _telescope_ext(a: RingElem, M: FPModule, budgets: Budgets):
     since (m_i) -> (m_(i-1) - a*m_i) is onto M^n, and the restriction from
     stage N + 1 to stage N acts on H^0 as multiplication by a.
 
+    Both Hom complexes are built over the pruned presentation of M, and
+    each stage value is the pruned presentation of its H^0: the same
+    module on fewer generators, so the chain analysis and the Smith forms
+    downstream run on narrower inputs.
+
     The materialized stage is capped so the Hom complexes stay at desk
-    scale for wide modules; the stage used is recorded."""
+    scale for wide modules.  The cap reads the rank of M as given, so the
+    stage used, which is recorded, does not depend on the pruning."""
     N = max(2, min(budgets.stages, 24 // max(1, M.ambient_rank)))
+    P = pruned_presentation(M)
     stage_vals = {}
     for n in (N, N + 1):
-        H = hom_complex(shift_complex(telescope_stage(a, n), 1), M)
-        stage_vals[n] = cohomology(H, 0)
+        H = hom_complex(shift_complex(telescope_stage(a, n), 1), P)
+        stage_vals[n] = pruned_presentation(cohomology(H, 0))
     return N, stage_vals
 
 

@@ -317,6 +317,45 @@ def quotient_module(M: FPModule, extra_relations) -> FPModule:
                     grading=M.grading)
 
 
+def pruned_presentation(M: FPModule) -> FPModule:
+    """M presented on fewer generators.  While some relation r has a unit
+    entry u at generator j, every other relation s with s_j != 0 becomes
+    u*s - s_j*r, which needs no inverse, and generator j and r are dropped.
+    The pivot is the relation with the fewest nonzero entries, then its
+    lowest unit column.  The kept generators, in order, map isomorphically
+    onto M, and no relation of the result has a unit entry."""
+    rels = [list(r) for r in M.relations]
+    keep = list(range(M.ambient_rank))
+    while True:
+        pivot = None
+        for i, r in enumerate(rels):
+            nnz = sum(1 for e in r if e.terms)
+            if pivot is not None and nnz >= pivot[0]:
+                continue
+            j = next((j for j, e in enumerate(r) if e.is_unit()), None)
+            if j is not None:
+                pivot = (nnz, i, j)
+        if pivot is None:
+            break
+        _, i, j = pivot
+        r = rels.pop(i)
+        u = r[j]
+        support = [k for k, y in enumerate(r) if y.terms]
+        for s in rels:
+            c = s[j]
+            if c.terms:
+                s[:] = [u * x if x.terms else x for x in s]
+                for k in support:
+                    s[k] = s[k] - c * r[k]
+            del s[j]
+        rels = [s for s in rels if any(e.terms for e in s)]
+        del keep[j]
+    grading = None
+    if M.grading is not None:
+        grading = [M.grading[k] for k in keep]
+    return FPModule(M.ring, len(keep), rels, grading=grading)
+
+
 def direct_sum_module(mods) -> FPModule:
     mods = list(mods)
     if not mods:

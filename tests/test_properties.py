@@ -23,10 +23,10 @@ from adiclab.groebner import ModuleBasis, exps_divides
 from adiclab.modules import (FPModule, ModuleHom, StdBasis, _dict_to_vec,
                              _engine_basis, _query_row, _vec_to_dict,
                              coordinates, euclidean_capable,
-                             free_module, hom_is_injective,
+                             free_module, hom_is_injective, hom_is_iso,
                              hom_is_surjective, ideal_power_gens,
                              image_coker, kernel_hom, lift_elem,
-                             modules_isomorphic,
+                             modules_isomorphic, pruned_presentation,
                              std_basis, unit_vector, vec_is_zero, work_rows,
                              zero_vector)
 from adiclab.rings import (IntegerScalars, PrimeFieldScalars, RationalScalars,
@@ -1044,7 +1044,9 @@ def test_telescope_stages_hold_their_invariants(case, stages):
     # stage values, checked here rather than on the decision path: the
     # stage Hom complexes have no degree-1 cohomology, the restriction
     # from stage N + 1 to stage N acts on H^0 as multiplication by a, and
-    # the stage values are isomorphic to M
+    # the stage values are isomorphic to M.  The route builds the stage
+    # Hom complexes over the pruned M and prunes each H^0, so the
+    # restriction is built over the pruned M too.
     M, a = case
     ring = M.ring
     N, stage_vals = derived._telescope_ext(a, M, Budgets(stages=stages))
@@ -1055,9 +1057,11 @@ def test_telescope_stages_hold_their_invariants(case, stages):
                       _unit_columns(ring, N + 1, N), check=False),
         0: ModuleHom(Ps.entry(1), Pt.entry(1),
                      _unit_columns(ring, N + 2, N + 1), check=False)})
-    restr = hom_complex_map(incl, M)
+    restr = hom_complex_map(incl, pruned_presentation(M))
     rho = induced_cohomology_map(restr, 0)
-    assert (rho.target, rho.source) == (stage_vals[N], stage_vals[N + 1])
+    assert ((pruned_presentation(rho.target),
+             pruned_presentation(rho.source))
+            == (stage_vals[N], stage_vals[N + 1]))
     assert cohomology(restr.target, 1).is_zero()
     assert cohomology(restr.source, 1).is_zero()
     # both spans hold the relations, so they agree iff their canonical
@@ -1073,6 +1077,30 @@ def test_telescope_stages_hold_their_invariants(case, stages):
                          ambient_rank=P.ambient_rank).generators)
     for H in stage_vals.values():
         assert modules_isomorphic(H, M) in (True, None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_module_and_element(_STAGE_RINGS, linear=(ZT,)))
+# the pivot (-1, 2) has unit -1, so the other relation must be scaled by
+# it: ZZ^2/((-1, 2), (3, 5)) is ZZ/11
+@example((FPModule(ZZ, 2, [(ZZ.from_int(-1), ZZ.from_int(2)),
+                           (ZZ.from_int(3), ZZ.from_int(5))]), ZZ.zero()))
+def test_pruned_presentation_is_the_module_on_fewer_generators(case):
+    M, _ = case
+    ring = M.ring
+    # the pruned module keeps the degrees of the generators it keeps, so
+    # distinct degrees name them
+    G = FPModule(ring, M.ambient_rank, M.relations,
+                 grading=range(M.ambient_rank))
+    P = pruned_presentation(G)
+    assert P.ambient_rank == len(P.grading)
+    assert not any(e.is_unit() for r in P.relations for e in r)
+    incl = ModuleHom(P, G, [[ring.one() if k == g else ring.zero()
+                             for g in P.grading]
+                            for k in range(G.ambient_rank)], check=True)
+    assert hom_is_iso(incl)
+    again = pruned_presentation(P)
+    assert (again, again.grading) == (P, P.grading)
 
 
 @st.composite

@@ -157,6 +157,26 @@ def test_lemma1_zz_t_with_a_negative_leading_unit():
     assert rep.consistent == CONSISTENT
 
 
+def test_lemma1_telescope_side_decides_on_a_pruned_stage_value():
+    # generate_instances(7, 60, "lemma1") holds this module.  Presented on
+    # every kernel generator, its stage value has the relation
+    # (y^2, 0, 4), which is not homogeneous, so graded Nakayama does not
+    # apply and the telescope side stays unknown; pruned, the stage value
+    # is graded and the side fails, as the tower side does
+    R = ring_polynomial(ring_prime_field(5), ("x", "y"))
+    x, y = R.variable("x"), R.variable("y")
+    z = R.zero()
+    M = FPModule(R, 2, [(x * y ** 2, z), (z, R.from_int(4) * y),
+                        (y ** 3, x * y ** 2)])
+    rep = check_lemma1(M, x + y, B)
+    assert rep.left.fails() and rep.right.fails()
+    assert rep.consistent == CONSISTENT
+    inner = rep.left.witness["inner"]
+    assert inner["route"] == "telescope"
+    assert inner["inner"]["component_witness"]["certificate"]["kind"] == (
+        "graded_nakayama")
+
+
 def test_lemma1_nilpotent():
     KT3 = ring_power_series(QQ, "t", 3)
     t = KT3.variable("t")
