@@ -768,6 +768,28 @@ def test_machine_report_bytes_are_pinned():
     assert got == PINNED_SHA256
 
 
+# The machine reports of generate_instances(7, 30, profile), hashed once
+# per profile: seed 7 reaches route-"telescope" and route-"both" stage
+# values that seed 1 does not, among them two lemma1 tasks that only the
+# pruned telescope stage values decide.
+SEED7_SHA256 = {
+    "lemma1":
+        "c9a93460f396150164209b782fef2a7690ae974461495fd868da6381bfe2cc7a",
+    "theorem2":
+        "260cb8dbf9d00106851bf55489fa05e191b1c6f620ce5b355e4212ac903dcf13",
+}
+
+
+def test_seed7_machine_reports_are_pinned():
+    got = {}
+    for profile in SEED7_SHA256:
+        digest = hashlib.sha256()
+        for data in generate_instances(7, 30, profile):
+            digest.update(emit_report(run_instance(data), "machine").encode())
+        got[profile] = digest.hexdigest()
+    assert got == SEED7_SHA256
+
+
 # sha256 of json.dumps(generate_instances(1, 20, profile), sort_keys=True)
 # for every profile: a change to a generator, or to the order of its
 # draws, changes the corpus that the pinned reports and the README's
