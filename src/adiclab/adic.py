@@ -57,7 +57,7 @@ class Budgets:
     depth: int = 16        # chain iteration / tower depth
     window: int = 8        # materialized window for limit reports
     stages: int = 8        # telescope stage
-    stab_window: int = 2   # stages listed by a route-"tower" ExtApprox
+    stab_window: int = 2   # sizes nothing; every report records it
 
     def __post_init__(self):
         for name, value in self.as_dict().items():

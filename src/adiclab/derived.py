@@ -9,12 +9,12 @@ omits delta_0 in degree 0.  Hom of the full stage into a module M has
 cohomology M/a^(N+1)M in degree 0 and the a^(N+1)-annihilator in degree
 -1, and the stage towers realize the completion and multiplication towers.
 Of the plus part the Ext analysis reads only the degree-0 cohomology of
-Hom(plus[1], M) at two consecutive stages; `_telescope_ext` names the
-identities that make that enough, which the tests check.  Each such H^0 is
-isomorphic to M but comes presented on every kernel generator found, so
-the route builds its Hom complexes over a pruned presentation of M and
-prunes each H^0 (`modules.pruned_presentation` drops one generator per
-relation with a unit entry); the stage N is still read from M as given.
+Hom(plus[1], M) at one stage; `_telescope_ext` names the identities that
+make that enough, which the tests check.  That H^0 is isomorphic to M but
+comes presented on every kernel generator found, so the route builds its
+Hom complex over a pruned presentation of M and prunes the H^0
+(`modules.pruned_presentation` drops one generator per relation with a
+unit entry); the stage N is still read from M as given.
 Cohomological completeness along a = (a_1..a_n) is decided one generator
 at a time, so only single-element stages are built.  The "joint_chain"
 route decides the whole ideal at once by `adic.is_complete` instead: for a
@@ -27,7 +27,7 @@ decision procedures cross-check the two routes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .adic import (Budgets, DEFAULT_BUDGETS, chain_profile,
                    ext0_vanishing_tower, ext1_vanishing_tower, is_complete,
@@ -70,45 +70,44 @@ def telescope_stage(a: RingElem, N: int) -> BoundedComplex:
 
 @dataclass(frozen=True)
 class ExtApprox:
-    """Stagewise approximation of a localization Ext group plus the
-    vanishing verdict and route cross-checks.
+    """The vanishing verdict of a localization Ext group and the route
+    cross-checks.
 
-    `stages` maps a stage to its value: on the telescope routes the pruned
-    presentation of the degree-0 cohomology of Hom(plus(n)[1], M) at the
-    two stages analysed, on route "tower" M itself at each window index.
-    `details` records the telescope stage used ("stage", read from M as
-    given) and, on route "both", whether the last stage value is
-    isomorphic to M ("stage_value_matches_module")."""
-    stages: dict
+    `agreement` is, on route "both" when both routes decide, whether they
+    agree.  `stage_value_matches_module` is, on route "both", whether the
+    telescope stage value is isomorphic to M (None when the invariants do
+    not decide), and None on the other routes."""
     vanishing: Verdict
     agreement: bool | None = None
-    details: dict = field(default_factory=dict)
+    stage_value_matches_module: bool | None = None
 
 
-def _telescope_ext(a: RingElem, M: FPModule, budgets: Budgets):
+def _analysed_stage(M: FPModule, budgets: Budgets) -> int:
+    """The telescope stage the route analyses: the `stages` budget, at
+    least 2, capped so the Hom complex stays at desk scale for wide
+    modules.  The cap reads the rank of M as given, so the stage does not
+    depend on the pruning."""
+    return max(2, min(budgets.stages, 24 // max(1, M.ambient_rank)))
+
+
+def _telescope_ext(a: RingElem, M: FPModule, budgets: Budgets) -> FPModule:
     """Telescope-route Ext analysis, the same for both indices: the degree-0
-    cohomologies of Hom(plus(n)[1], M) for n = N, N + 1.  Returns N and the
-    stage values; `ext_localization` runs the chain analysis on the stage-N
-    value.  The identities the route rests on hold over every ring and are
-    checked by the property test, not here: H^1 of each stage Hom vanishes,
-    since (m_i) -> (m_(i-1) - a*m_i) is onto M^n, and the restriction from
-    stage N + 1 to stage N acts on H^0 as multiplication by a.
+    cohomology of Hom(plus(N)[1], M) at N = `_analysed_stage(M, budgets)`,
+    on which `ext_localization` runs the chain analysis.  The identities
+    the route rests on hold over every ring and are checked by the
+    property test, not here: H^1 of each stage Hom vanishes, since
+    (m_i) -> (m_(i-1) - a*m_i) is onto M^n, and the restriction from stage
+    N + 1 to stage N acts on H^0 as multiplication by a, so one stage is
+    enough.
 
-    Both Hom complexes are built over the pruned presentation of M, and
-    each stage value is the pruned presentation of its H^0: the same
-    module on fewer generators, so the chain analysis and the Smith forms
-    downstream run on narrower inputs.
-
-    The materialized stage is capped so the Hom complexes stay at desk
-    scale for wide modules.  The cap reads the rank of M as given, so the
-    stage used, which is recorded, does not depend on the pruning."""
-    N = max(2, min(budgets.stages, 24 // max(1, M.ambient_rank)))
-    P = pruned_presentation(M)
-    stage_vals = {}
-    for n in (N, N + 1):
-        H = hom_complex(shift_complex(telescope_stage(a, n), 1), P)
-        stage_vals[n] = pruned_presentation(cohomology(H, 0))
-    return N, stage_vals
+    The Hom complex is built over the pruned presentation of M, and the
+    value is the pruned presentation of its H^0: the same module on fewer
+    generators, so the chain analysis and the Smith forms downstream run
+    on narrower inputs."""
+    N = _analysed_stage(M, budgets)
+    H = hom_complex(shift_complex(telescope_stage(a, N), 1),
+                    pruned_presentation(M))
+    return pruned_presentation(cohomology(H, 0))
 
 
 def ext_localization(index: int, a: RingElem, M: FPModule,
@@ -121,35 +120,30 @@ def ext_localization(index: int, a: RingElem, M: FPModule,
     requires agreement.
 
     Inside a `memo_scope` the telescope analysis and, on route "both", the
-    check that the last stage value is isomorphic to M run once per
-    (element, module, grading, budgets), so the two indices share them.
-    Each result carries its own `stages` and `details` dicts."""
+    check that the stage value is isomorphic to M run once per (element,
+    module, grading, budgets), so the two indices share them."""
     if index not in (0, 1):
         raise BudgetExceeded("only indices 0 and 1 are meaningful here")
     if route not in ("both", "tower", "telescope"):
         raise BudgetExceeded(f"unknown route {route!r}")
     vanishing = ext0_vanishing_tower if index == 0 else ext1_vanishing_tower
     if route == "tower":
-        stages = {k: M for k in range(budgets.stab_window)}
-        return ExtApprox(stages, vanishing(M, a, budgets))
+        return ExtApprox(vanishing(M, a, budgets))
 
     key = (a, M, M.grading, budgets)
-    N, stage_vals = memoised(("telescope_ext", *key), _telescope_ext, a, M,
-                             budgets)
-    stage_vals, details = dict(stage_vals), {"stage": N}
-    tele = vanishing(stage_vals[N], a, budgets)
+    value = memoised(("telescope_ext", *key), _telescope_ext, a, M, budgets)
+    tele = vanishing(value, a, budgets)
     if route == "telescope":
-        return ExtApprox(stage_vals, tele, details=details)
+        return ExtApprox(tele)
     tow = vanishing(M, a, budgets)
     agreement = None
     if tele.decisive and tow.decisive:
         agreement = tele.status == tow.status
-    # stagewise value comparison when invariants decide isomorphism
-    details["stage_value_matches_module"] = memoised(
-        ("stage_value_matches_module", *key), modules_isomorphic,
-        stage_vals[max(stage_vals)], M)
+    # stage value comparison when invariants decide isomorphism
+    matches = memoised(("stage_value_matches_module", *key),
+                       modules_isomorphic, value, M)
     primary = tow if tow.decisive or not tele.decisive else tele
-    return ExtApprox(stage_vals, primary, agreement, details)
+    return ExtApprox(primary, agreement, matches)
 
 
 # ---------------------------------------------------------------------------

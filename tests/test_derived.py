@@ -49,9 +49,8 @@ def test_ext_examples_z3():
     e0 = ext_localization(0, ZZ.from_int(2), M3, B)
     assert e0.vanishing.fails()
     assert e0.agreement is True
-    # stage values are isomorphic to M at each stage
-    for N, val in e0.stages.items():
-        assert modules_isomorphic(val, M3)
+    # the stage value is isomorphic to M
+    assert e0.stage_value_matches_module is True
     e1 = ext_localization(1, ZZ.from_int(2), M3, B)
     assert e1.vanishing.holds()
     assert e1.agreement is True
@@ -192,17 +191,17 @@ def test_cc_runs_each_telescope_analysis_once(monkeypatch):
     stages = _counting(monkeypatch, "telescope_stage")
     isos = _counting(monkeypatch, "modules_isomorphic")
     assert is_cohomologically_complete(M, [t]).holds()
-    # one analysis builds the stage-N and stage-(N+1) telescopes; Ext^0
-    # and Ext^1 both read it and one stage-value check
-    assert len(stages) == 2
+    # one analysis builds one telescope stage; Ext^0 and Ext^1 both read
+    # it and one stage-value check
+    assert len(stages) == 1
     assert len(isos) == 1
-    # a memoised analysis hands each result its own details dict
+    # only route "both" checks the stage value
     with memo_scope():
         both = ext_localization(0, t, M, route="both")
         tele = ext_localization(1, t, M, route="telescope")
-    assert both.details["stage_value_matches_module"] is True
-    assert "stage_value_matches_module" not in tele.details
-    assert len(stages) == 4 and len(isos) == 2
+    assert both.stage_value_matches_module is True
+    assert tele.stage_value_matches_module is None
+    assert len(stages) == 2 and len(isos) == 2
 
 
 def test_a_telescope_analysis_reads_degree_0_cohomology_only():
@@ -223,7 +222,7 @@ def test_a_telescope_analysis_reads_degree_0_cohomology_only():
             ext_localization(0, two, M, B, route="telescope")
     finally:
         sys.setprofile(None)
-    assert calls == [("cohomology_data", 0)] * 2
+    assert calls == [("cohomology_data", 0)]
 
 
 @pytest.mark.parametrize("rows, a, status", [

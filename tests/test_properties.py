@@ -1010,8 +1010,7 @@ def test_cc_equals_its_two_ext_indices_computed_apart(case):
             shared = [ext_localization(index, a, M, b, ext_route)
                       for index in (0, 1)]
         for got, want in zip(shared, fresh):
-            assert (got.stages, got.vanishing, got.agreement, got.details) \
-                == (want.stages, want.vanishing, want.agreement, want.details)
+            assert got == want
         want = verdicts.conjunction({"ext0_vanishing": fresh[0].vanishing,
                                      "ext1_vanishing": fresh[1].vanishing})
         got = is_cohomologically_complete(M, [a], b, route=route)
@@ -1041,41 +1040,46 @@ def _unit_columns(ring, rows, cols):
        st.sampled_from([2, 3]))
 def test_telescope_stages_hold_their_invariants(case, stages):
     # the identities that let the telescope route read only the degree-0
-    # stage values, checked here rather than on the decision path: the
-    # stage Hom complexes have no degree-1 cohomology, the restriction
-    # from stage N + 1 to stage N acts on H^0 as multiplication by a, and
-    # the stage values are isomorphic to M.  The route builds the stage
-    # Hom complexes over the pruned M and prunes each H^0, so the
-    # restriction is built over the pruned M too.
+    # stage value at one stage N, checked here rather than on the decision
+    # path: the stage Hom complexes have no degree-1 cohomology, the
+    # restriction from stage N + 1 to stage N acts on H^0 as
+    # multiplication by a, and the stage values are isomorphic to M.  The
+    # route builds its Hom complex over the pruned M and prunes the H^0,
+    # so the restriction is built over the pruned M too, and the stage
+    # N + 1 value the route never reads is built here the same way.
     M, a = case
     ring = M.ring
-    N, stage_vals = derived._telescope_ext(a, M, Budgets(stages=stages))
+    b = Budgets(stages=stages)
+    N = derived._analysed_stage(M, b)
     Ps, Pt = derived.telescope_stage(a, N), derived.telescope_stage(a, N + 1)
+    P = pruned_presentation(M)
+    stage_vals = (derived._telescope_ext(a, M, b),
+                  pruned_presentation(cohomology(
+                      hom_complex(shift_complex(Pt, 1), P), 0)))
     # the inclusion of plus parts, delta_i -> delta_i, shifted by one
     incl = ComplexMap(shift_complex(Ps, 1), shift_complex(Pt, 1), {
         -1: ModuleHom(Ps.entry(0), Pt.entry(0),
                       _unit_columns(ring, N + 1, N), check=False),
         0: ModuleHom(Ps.entry(1), Pt.entry(1),
                      _unit_columns(ring, N + 2, N + 1), check=False)})
-    restr = hom_complex_map(incl, pruned_presentation(M))
+    restr = hom_complex_map(incl, P)
     rho = induced_cohomology_map(restr, 0)
     assert ((pruned_presentation(rho.target),
-             pruned_presentation(rho.source))
-            == (stage_vals[N], stage_vals[N + 1]))
+             pruned_presentation(rho.source)) == stage_vals)
     assert cohomology(restr.target, 1).is_zero()
     assert cohomology(restr.source, 1).is_zero()
     # both spans hold the relations, so they agree iff their canonical
     # bases do
-    P = rho.target
+    T = rho.target
     a_cols = [tuple(a if i == t else ring.zero()
-                    for i in range(P.ambient_rank))
-              for t in range(P.ambient_rank)]
+                    for i in range(T.ambient_rank))
+              for t in range(T.ambient_rank)]
     rho_cols = [rho.column(t) for t in range(rho.source.ambient_rank)]
-    assert (std_basis(a_cols + list(P.relations), ring,
-                      ambient_rank=P.ambient_rank).generators
-            == std_basis(rho_cols + list(P.relations), ring,
-                         ambient_rank=P.ambient_rank).generators)
-    for H in stage_vals.values():
+    assert (std_basis(a_cols + list(T.relations), ring,
+                      ambient_rank=T.ambient_rank).generators
+            == std_basis(rho_cols + list(T.relations), ring,
+                         ambient_rank=T.ambient_rank).generators)
+    for H in stage_vals:
         assert modules_isomorphic(H, M) in (True, None)
 
 
