@@ -194,7 +194,8 @@ def _run_example1(f, b):
 def _run_ext(f, b):
     e = ext_localization(f["index"], f["element"], f["module"], b,
                          route=f.get("route", "both"))
-    return {**_verdict(e.vanishing), "agreement": e.agreement}
+    return {**_verdict(e.vanishing), "agreement": e.agreement,
+            "ext_index": f["index"]}
 
 
 def _run_completion_tower(f, b):

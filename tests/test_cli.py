@@ -864,7 +864,7 @@ def _all_commands_instance():
 # The machine report of `_all_commands_instance`, hashed, as the pinned
 # corpus above: it pins the report of every command, route and tower kind.
 ALL_COMMANDS_SHA256 = \
-    "e6285324c37695dacc164be3f1abf76241026005cf197814feb5eb67c45fa67e"
+    "e357e2f248b9783d4a675e883268809d84b78e63659ad974af51bf525755b81b"
 
 
 def test_machine_report_of_every_command_is_pinned():
@@ -874,6 +874,16 @@ def test_machine_report_of_every_command_is_pinned():
     assert rep["exit_status"] == EXIT_OK
     report = emit_report(rep, "machine")
     assert hashlib.sha256(report.encode()).hexdigest() == ALL_COMMANDS_SHA256
+
+
+def test_ext_reports_name_the_index_they_decided():
+    # the report's `index` is the task's position, so the Ext index has a
+    # key of its own
+    data = _edited(z12_instance(), lambda d: d.update(tasks=[
+        {"command": "ext_localization", "index": i, "module": "M",
+         "element": "2"} for i in (1, 0)]))
+    tasks = run_instance(data)["tasks"]
+    assert [(t["index"], t["ext_index"]) for t in tasks] == [(0, 1), (1, 0)]
 
 
 def _rational_instances():
@@ -921,7 +931,7 @@ def _rational_instances():
 # The machine reports of `_rational_instances`, hashed: the pinned corpus
 # and the all-commands instance above have only integral input coefficients.
 RATIONAL_SHA256 = \
-    "00bdae1a6248f1ee19814658558de32769e6a80ba4c555f8610c52df613ec10c"
+    "0a47dc7ee09908fd39534c6a92e0ad5f7f0dd1917dcb4bfd3c65f1dd1e067eef"
 
 
 def test_machine_reports_with_rational_coefficients_are_pinned():
