@@ -271,7 +271,7 @@ def _task_field(key, value, choices, ring, named, path):
     each of these keys to its section), `ideals` a list of ideals and
     `element` a ring element; `transport` is a boolean, `budgets` a set of
     overrides, a field with `choices` one of them, and any other field an
-    integer."""
+    integer (an Ext `index` 0 or 1)."""
     if key in named:
         pool = named[key]
         if _of_type(value, str, path) not in pool:
@@ -299,6 +299,8 @@ def _task_field(key, value, choices, ring, named, path):
         return value
     if not _is_int(value):
         raise ParseError(path, "expected an integer")
+    if key == "index" and value not in (0, 1):
+        raise ParseError(path, "expected 0 or 1")
     return value
 
 
