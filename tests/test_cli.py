@@ -387,8 +387,6 @@ def test_malformed_numeric_field_is_parse_error(tmp_path, capsys, data,
     (_z12_task(command="ext_localization", index=1, element="2",
                route="sideways"),
      "$.tasks[0].route: expected one of both, tower, telescope"),
-    (_z12_task(command="ext_localization", index=2, element="2"),
-     "$.tasks[0].index: expected 0 or 1"),
     (_z12_task(command="is_cohomologically_complete", ideal="a",
                route="both"),
      "$.tasks[0].route: expected one of auto, tower, telescope, "
@@ -399,6 +397,11 @@ def test_malformed_numeric_field_is_parse_error(tmp_path, capsys, data,
      "$.tasks[0]: unknown fields ['ideal']"),
     (_z12_task(command="lim_tower", ideal="a", element="2"),
      "$.tasks[0]: unknown fields ['element']"),
+    # an Ext index outside 0 and 1, checked before the task ahead of it runs
+    (_edited(z12_instance(), lambda d: d["tasks"].append(
+        {"command": "ext_localization", "index": 2, "module": "M",
+         "element": "2"})),
+     "$.tasks[1].index: expected 0 or 1"),
 ])
 def test_unknown_choice_or_missing_field_is_parse_error(tmp_path, capsys,
                                                         data, position):
@@ -725,16 +728,6 @@ def test_negative_tower_depth_is_a_task_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert "task 0: negative tower depth -2" in captured.err
-
-
-def test_an_ext_index_outside_0_and_1_is_rejected_before_any_task_runs():
-    data = _edited(z12_instance(), lambda d: d["tasks"].append(
-        {"command": "ext_localization", "index": 2, "module": "M",
-         "element": "2"}))
-    with pytest.raises(ParseError) as e:
-        parse_instance(data)
-    assert (e.value.position, e.value.cause) == ("$.tasks[1].index",
-                                                 "expected 0 or 1")
 
 
 def test_no_memo_scope_after_run_instance():
